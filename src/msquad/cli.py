@@ -202,15 +202,11 @@ def _emit_grid(
 
 def _integrand(args: argparse.Namespace) -> Integrand:
     try:
-        parse_probe = expression_integrand(args.f)
-    except ParseError as exc:
-        raise _UsageError(f"--f: {exc}") from exc
-    if args.df is None:
-        return parse_probe
-    try:
         return expression_integrand(args.f, args.df)
     except ParseError as exc:
-        raise _UsageError(f"--df: {exc}") from exc
+        # --f is parsed first, so text equal to --f failed as --f
+        flag = "--f" if exc.text == args.f else "--df"
+        raise _UsageError(f"{flag}: {exc}") from exc
 
 
 def _normalized_limits(args: argparse.Namespace) -> tuple[Interval | None, float]:
@@ -278,7 +274,10 @@ def _cmd_integrate(args: argparse.Namespace, out: TextIO) -> int:
     payload["value"] = sign * value
     payload["leading_error_estimate"] = estimate
     if args.reference:
-        ref = reference_integral(f, iv, args.tol)
+        try:
+            ref = reference_integral(f, iv, args.tol)
+        except ValueError as exc:  # the tolerance limit
+            raise _UsageError(f"--tol: {exc}") from exc
         payload["reference_value"] = sign * ref.value
         payload["reference_abs_error"] = abs(sign * value - sign * ref.value)
     _emit_record(payload, args.format, out)
@@ -314,14 +313,19 @@ def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> int:
 
     grid = UniformGrid(iv, args.n)
     if args.lower is not None:
+        if not (math.isfinite(args.lower) and math.isfinite(args.upper)):
+            raise _UsageError("--lower and --upper must be finite")
         if args.lower > args.upper:
             raise _UsageError("--lower must not exceed --upper")
         rng = DerivativeRange(k=k, lower=args.lower, upper=args.upper,
                               provenance="user-supplied")
     else:
-        rng = estimate_derivative_range(
-            f, k, iv, n_samples=args.samples, safety=args.safety
-        )
+        try:
+            rng = estimate_derivative_range(
+                f, k, iv, n_samples=args.samples, safety=args.safety
+            )
+        except ValueError as exc:  # the --samples and --safety limits
+            raise _UsageError(str(exc)) from exc
 
     payload = {
         "k": k,

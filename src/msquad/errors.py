@@ -35,11 +35,16 @@ class DerivativeUnavailableError(MsquadError):
 
 
 class ParseError(MsquadError):
-    """Expression text could not be parsed; ``offset`` is the byte position."""
+    """Expression text could not be parsed; ``offset`` is the byte position.
 
-    def __init__(self, message: str, offset: int):
+    ``text`` is the expression that failed, so a caller that parses more
+    than one can tell which.
+    """
+
+    def __init__(self, message: str, offset: int, text: str | None = None):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
+        self.text = text
 
 
 class InvalidRangeError(MsquadError):

@@ -12,7 +12,18 @@ from __future__ import annotations
 import math
 
 from .errors import EvaluationError
-from .expressions import BinOp, Call, Const, Expression, Neg, Num, Var, evaluate, parse
+from .expressions import (
+    BinOp,
+    Call,
+    Const,
+    Expression,
+    Neg,
+    Num,
+    Var,
+    compile_expression,
+    evaluate,
+    parse,
+)
 from .integrand import Integrand
 
 ORDER = 6
@@ -221,19 +232,18 @@ def expression_integrand(
 ) -> Integrand:
     """Build an :class:`Integrand` from expression text.
 
-    Derivatives of all orders come from jet propagation; ``df_text``, when
-    given, overrides order 1 only (orders 2..6 still come from the jets
-    of ``text``).
+    Point values come from the tree compiled once by
+    :func:`~msquad.expressions.compile_expression`, derivatives of all
+    orders from jet propagation; ``df_text``, when given, is compiled too
+    and overrides order 1 only (orders 2..6 still come from the jets of
+    ``text``).  ``text`` is parsed before ``df_text``.
     """
     expr = parse(text)
-    dexpr = parse(df_text) if df_text is not None else None
-
-    def fn(x: float) -> float:
-        return evaluate(expr, x)
+    df = compile_expression(parse(df_text)) if df_text is not None else None
 
     def provider(order: int, x: float) -> float:
-        if order == 1 and dexpr is not None:
-            return evaluate(dexpr, x)
+        if order == 1 and df is not None:
+            return df(x)
         return derivatives(expr, x).derivative(order)
 
-    return Integrand(fn, provider, max_order=ORDER, name=name or text)
+    return Integrand(compile_expression(expr), provider, max_order=ORDER, name=name or text)

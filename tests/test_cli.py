@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -200,6 +201,48 @@ def test_usage_errors_exit_one():
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("integrate", "--f", "exp(x)", "-a", "0", "-b", "1", "--reference", "--tol", "0"),
+        ("bounds", "--f", "exp(x)", "-a", "0", "-b", "1", "-k", "4", "--samples", "3"),
+        ("bounds", "--f", "exp(x)", "-a", "0", "-b", "1", "-k", "4", "--safety", "0.5"),
+        ("bounds", "--f", "exp(x)", "-a", "0", "-b", "1", "-k", "4",
+         "--lower", "nan", "--upper", "1"),
+        ("bounds", "--f", "exp(x)", "-a", "0", "-b", "1", "-k", "6",
+         "--lower", "0", "--upper", "inf"),
+    ],
+    ids=["tol-zero", "samples-3", "safety-below-1", "lower-nan", "upper-inf"],
+)
+def test_out_of_range_options_are_one_line_usage_errors(argv):
+    code, out, err = invoke(*argv)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("msquad: error: ")
+
+
+def test_df_parses_each_expression_once(monkeypatch):
+    import msquad.jets
+
+    parsed = []
+    real = msquad.jets.parse
+    monkeypatch.setattr(msquad.jets, "parse", lambda text: parsed.append(text) or real(text))
+    code, _, _ = invoke("integrate", "--f", "exp(x)", "--df", "exp(x)",
+                        "-a", "0", "-b", "1")
+    assert code == 0
+    assert parsed == ["exp(x)", "exp(x)"]
+
+
+def test_parse_errors_name_their_option():
+    code, _, err = invoke("integrate", "--f", "exp(", "--df", "exp(", "-a", "0", "-b", "1")
+    assert code == 1
+    assert err.startswith("msquad: error: --f: ")
+    code, _, err = invoke("integrate", "--f", "exp(x)", "--df", "exp(", "-a", "0", "-b", "1")
+    assert code == 1
+    assert err.startswith("msquad: error: --df: ")
+
+
 def test_evaluation_errors_exit_two():
     code, _, err = invoke("integrate", "--f", "log(x)", "-a", "-1", "-b", "1")
     assert code == 2
@@ -222,10 +265,16 @@ def test_bounds_payload_matches_shipped_schema():
 
 
 def test_console_script_entry_point():
+    # the child imports the msquad under test, installed or not
+    import msquad
+
+    src = os.path.dirname(os.path.dirname(msquad.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "msquad.cli", "integrate", "--f", "x^2",
          "-a", "0", "-b", "1", "--format", "csv"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "value" in proc.stdout

@@ -1,7 +1,8 @@
 import math
+import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from msquad.errors import EvaluationError, ParseError
 from msquad.expressions import (
@@ -11,6 +12,7 @@ from msquad.expressions import (
     Neg,
     Num,
     Var,
+    compile_expression,
     evaluate,
     parse,
     to_string,
@@ -32,6 +34,7 @@ def test_unterminated_call_reports_offset():
     with pytest.raises(ParseError) as exc:
         parse("exp(")
     assert exc.value.offset == 4
+    assert exc.value.text == "exp("
 
 
 def test_parse_error_cases():
@@ -123,3 +126,75 @@ _trees = st.recursive(
 @given(_trees)
 def test_roundtrip_property(tree):
     assert parse(to_string(tree)) == tree
+
+
+# -- compiled evaluation -----------------------------------------------------
+
+
+def _outcome(fn, x):
+    """The result bits, or the exception class, message and abscissa."""
+    try:
+        return struct.pack("<d", fn(x))
+    except Exception as exc:  # any difference must show
+        return type(exc), str(exc), repr(getattr(exc, "abscissa", None))
+
+
+def test_compiled_matches_walk_on_corpus_grid():
+    corpus = [
+        "exp(-x^2)*sin(3*x)+1/(1+x^2)",
+        "cos(2.5*x)*exp(-1.2*x)+sqrt(1+0.7*x^2)",
+        "log(1+1.3*x^2)*cos(4.1*x)+x/(1+0.9*x^2)",
+        "tan(x/4) - log(x+5) + -(x+1)^2 + x*x - x/x",
+        # one operator or function per entry, on the edges the grid hits
+        "1/(x-1)", "x/(x-1)", "2/x", "sin(x)/x", "x/0", "(x+1)/0", "x/2",
+        "log(x)", "log(x-1)", "log(0)", "sqrt(x)", "sqrt(x-1)", "sqrt(-x)",
+        "x^2", "(x-1)^2", "x^-2", "(x-1)^-1", "0^-1", "x^0", "x^0.5",
+        "(x-1)^1.5", "x^1e999", "x^2147483648", "x^2147483649", "2^x", "x^x",
+        "exp(x)", "exp(x^2)", "exp(1000)", "1-x^2", "x^2-1", "1-x", "x-1",
+        "x+1", "1+x", "x*3", "3*x", "-x", "-(x-1)", "tan(x)", "cos(x)", "sin(x)",
+    ]
+    xs = [-2.0 + 4.0 * j / 2000 for j in range(2001)]
+    xs += [0.0, -0.0, 1.0, -1.0, 710.0, -710.0, 1e300, -1e300, math.inf, -math.inf]
+    for text in corpus:
+        tree = parse(text)
+        fn = compile_expression(tree)
+        for x in xs:
+            assert _outcome(fn, x) == _outcome(lambda v: evaluate(tree, v), x), (text, x)
+
+
+# Leaves that reach the special cases: integer exponents (negative ones and
+# zero bases among them), non-integer and infinite exponents, values that
+# put log, sqrt and "/" on their domain edges, and exp overflow.
+_edge_numbers = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 0.5, -1.5, 1e999, -1e999,
+     2.0**31, 2.0**31 + 1.0, 710.0, 1e-300]
+)
+_edge_leaves = st.one_of(
+    st.builds(Num, _edge_numbers),
+    st.builds(Num, st.floats(allow_nan=False, allow_infinity=False)),
+    st.just(Var()),
+    st.builds(Const, st.sampled_from(["pi", "e"])),
+)
+_edge_trees = st.recursive(
+    _edge_leaves,
+    lambda kids: st.one_of(
+        st.builds(Neg, kids),
+        st.builds(Call, st.sampled_from(["exp", "log", "sin", "cos", "tan", "sqrt"]), kids),
+        st.builds(BinOp, st.sampled_from(list("+-*/^")), kids, kids),
+        st.builds(BinOp, st.just("^"), kids, st.builds(Num, _edge_numbers)),
+        st.builds(BinOp, st.just("^"), kids, st.builds(Neg, st.builds(Num, _edge_numbers))),
+    ),
+    max_leaves=10,
+)
+_abscissae = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 710.0, -710.0, 1e-300, 1e300]),
+    st.floats(allow_nan=False),
+)
+
+
+@settings(max_examples=400)
+@given(_edge_trees, st.lists(_abscissae, min_size=1, max_size=6))
+def test_compiled_matches_walk_bitwise(tree, xs):
+    fn = compile_expression(tree)  # compiling never raises: errors belong to points
+    for x in xs:
+        assert _outcome(fn, x) == _outcome(lambda v: evaluate(tree, v), x)

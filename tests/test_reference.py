@@ -138,6 +138,22 @@ def test_study_validation():
 # -- rule comparison ---------------------------------------------------------------
 
 
+def test_compare_runs_the_oracle_once(monkeypatch):
+    import msquad.reference
+
+    calls = []
+    real = msquad.reference.reference_integral
+    monkeypatch.setattr(msquad.reference, "reference_integral",
+                        lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    with pytest.raises(ValueError):
+        compare_rules(GAUSS, UNIT, [4, 2])
+    assert calls == []
+    cmp = compare_rules(GAUSS, UNIT, [1, 2])
+    assert len(calls) == 1
+    assert cmp.simpson == convergence_study(Rule.SIMPSON, GAUSS, UNIT, [1, 2])
+    assert cmp.modified == convergence_study(Rule.MODIFIED_SIMPSON, GAUSS, UNIT, [1, 2])
+
+
 def test_compare_exp_single_pair():
     cmp = compare_rules(EXP, SYM, [1])
     assert cmp.simpson.rows[0].abs_error == pytest.approx(1.17e-2, rel=2e-2)
