@@ -289,8 +289,10 @@ def estimate_derivative_range(
         raise ValueError(f"derivative order must be in 1..6, got {k}")
     if n_samples < 8:
         raise ValueError(f"need at least 8 samples, got {n_samples}")
-    if safety < 1.0:
+    if not safety >= 1.0:  # a NaN factor fails here too
         raise ValueError(f"safety factor must be >= 1, got {safety}")
+    if safety == math.inf:
+        raise ValueError("safety factor must be finite, got inf")
 
     mid = 0.5 * (iv.a + iv.b)
     rad = 0.5 * iv.width

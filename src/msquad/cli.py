@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import json
+import re
 import sys
 from typing import Sequence, TextIO
 
@@ -61,7 +62,17 @@ class _UsageError(Exception):
     pass
 
 
+# What argparse takes for a negative number rather than an option, so that
+# ``-a -1e-3`` works like ``-a -1``; the pattern it ships (Python 3.11)
+# has no exponent form.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise _UsageError(message)
 
@@ -211,11 +222,14 @@ def _integrand(args: argparse.Namespace) -> Integrand:
 
 def _normalized_limits(args: argparse.Namespace) -> tuple[Interval | None, float]:
     """Return (interval, orientation sign); interval is None when a == b."""
-    if args.a == args.b:
+    if args.a == args.b and math.isfinite(args.a):
         return None, 1.0
-    if args.a < args.b:
-        return Interval(args.a, args.b), 1.0
-    return Interval(args.b, args.a), -1.0
+    try:
+        if args.a < args.b:
+            return Interval(args.a, args.b), 1.0
+        return Interval(args.b, args.a), -1.0
+    except ValueError as exc:  # non-finite limits or an overflowing width
+        raise _UsageError(f"-a/-b: {exc}") from exc
 
 
 def _parse_n_list(text: str) -> list[int]:

@@ -34,6 +34,8 @@ class Interval:
             raise ValueError("interval endpoints must be finite")
         if not self.a < self.b:
             raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
+        if not math.isfinite(self.b - self.a):
+            raise ValueError(f"interval width b - a overflows, got [{self.a}, {self.b}]")
 
     @property
     def width(self) -> float:

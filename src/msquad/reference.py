@@ -118,7 +118,7 @@ def reference_integral(
     final segment count.  Raises :class:`ReferenceConvergenceError`
     carrying the best value if the segment limit is hit first.
     """
-    if tol < _MIN_TOL:
+    if not tol >= _MIN_TOL:  # a NaN tolerance fails here too
         raise ValueError(f"tolerance must be >= {_MIN_TOL}, got {tol}")
 
     value, err = _kronrod_segment(f, iv.a, iv.b)

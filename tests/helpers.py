@@ -4,15 +4,19 @@ Everything here is deliberately independent of the library code paths it
 checks: exact rational arithmetic for the rule formulas and kernel
 integrals, hand-coded symbolic derivatives for the corpus functions,
 Richardson-extrapolated finite differences, and a tree differentiator
-for the expression AST.
+for the expression AST.  The edge-case trees at the end drive the
+properties that compare compiled code with the tree walks it replaces.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
+
+from hypothesis import strategies as st
 
 from msquad.expressions import BinOp, Call, Const, Expression, Neg, Num, Var
 from msquad.integrand import Integrand
@@ -301,3 +305,56 @@ def symbolic_diff(node: Expression) -> Expression:
         if node.fn == "sqrt":
             return BinOp("/", da, _mul(Num(2.0), Call("sqrt", arg)))
     raise TypeError(f"cannot differentiate {node!r}")
+
+
+# -- compiled code against the tree walks --------------------------------------
+
+
+def outcome(fn, x, any_nan=False):
+    """The result bits (a float or a tuple of floats), or the exception
+    class, message and abscissa.
+
+    ``any_nan`` maps every NaN to one marker.  Jets need it: CPython 3.11
+    takes the sign of ``a * b`` for two NaNs of opposite sign from either
+    operand, depending on whether the interpreter has specialised that
+    multiplication yet, so the same code at the same abscissa can return
+    NaNs of either sign from one call to the next.
+    """
+    try:
+        value = fn(x)
+        values = value if isinstance(value, tuple) else (value,)
+        return tuple(
+            "nan" if any_nan and math.isnan(v) else struct.pack("<d", v) for v in values
+        )
+    except Exception as exc:  # any difference must show
+        return type(exc), str(exc), repr(getattr(exc, "abscissa", None))
+
+
+# Leaves that reach the special cases: integer exponents (negative ones and
+# zero bases among them), non-integer and infinite exponents, values that
+# put log, sqrt and "/" on their domain edges, and exp overflow.
+_EDGE_NUMBERS = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 0.5, -1.5, 1e999, -1e999,
+     2.0**31, 2.0**31 + 1.0, 710.0, 1e-300]
+)
+_EDGE_LEAVES = st.one_of(
+    st.builds(Num, _EDGE_NUMBERS),
+    st.builds(Num, st.floats(allow_nan=False, allow_infinity=False)),
+    st.just(Var()),
+    st.builds(Const, st.sampled_from(["pi", "e"])),
+)
+EDGE_TREES = st.recursive(
+    _EDGE_LEAVES,
+    lambda kids: st.one_of(
+        st.builds(Neg, kids),
+        st.builds(Call, st.sampled_from(["exp", "log", "sin", "cos", "tan", "sqrt"]), kids),
+        st.builds(BinOp, st.sampled_from(list("+-*/^")), kids, kids),
+        st.builds(BinOp, st.just("^"), kids, st.builds(Num, _EDGE_NUMBERS)),
+        st.builds(BinOp, st.just("^"), kids, st.builds(Neg, st.builds(Num, _EDGE_NUMBERS))),
+    ),
+    max_leaves=10,
+)
+EDGE_ABSCISSAE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 710.0, -710.0, 1e-300, 1e300]),
+    st.floats(allow_nan=False),
+)

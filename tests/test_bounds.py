@@ -252,6 +252,10 @@ def test_estimator_validation():
         estimate_derivative_range(EXP, 2, UNIT, n_samples=4)
     with pytest.raises(ValueError):
         estimate_derivative_range(EXP, 2, UNIT, safety=0.9)
+    with pytest.raises(ValueError, match="got nan"):
+        estimate_derivative_range(EXP, 2, UNIT, safety=math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        estimate_derivative_range(EXP, 2, UNIT, safety=math.inf)
     with pytest.raises(ValueError):
         estimate_derivative_range(EXP, 0, UNIT)
 

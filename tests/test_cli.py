@@ -211,8 +211,18 @@ def test_usage_errors_exit_one():
          "--lower", "nan", "--upper", "1"),
         ("bounds", "--f", "exp(x)", "-a", "0", "-b", "1", "-k", "6",
          "--lower", "0", "--upper", "inf"),
+        ("integrate", "--f", "exp(x)", "-a", "0", "-b", "1", "--reference", "--tol", "nan"),
+        ("bounds", "--f", "exp(x)", "-a", "0", "-b", "1", "-k", "4", "--safety", "nan"),
+        ("bounds", "--f", "exp(x)", "-a", "0", "-b", "1", "-k", "4", "--safety", "inf"),
+        ("integrate", "--f", "exp(x)", "-a", "nan", "-b", "1"),
+        ("bounds", "--f", "exp(x)", "-a", "0", "-b", "inf", "-k", "4"),
+        ("integrate", "--f", "exp(x)", "-a", "inf", "-b", "inf"),
+        ("integrate", "--f", "x", "-a=-1e308", "-b=1e308"),
+        ("compare", "--f", "x", "-a", "1e308", "-b", "-1e308"),
     ],
-    ids=["tol-zero", "samples-3", "safety-below-1", "lower-nan", "upper-inf"],
+    ids=["tol-zero", "samples-3", "safety-below-1", "lower-nan", "upper-inf",
+         "tol-nan", "safety-nan", "safety-inf", "a-nan", "b-inf", "both-inf",
+         "width-overflow", "reversed-width-overflow"],
 )
 def test_out_of_range_options_are_one_line_usage_errors(argv):
     code, out, err = invoke(*argv)
@@ -220,6 +230,22 @@ def test_out_of_range_options_are_one_line_usage_errors(argv):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("msquad: error: ")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("integrate",), ("bounds", "-k", "4"), ("converge", "--n-list", "2,4"),
+     ("compare", "--n-list", "2,4")],
+    ids=lambda c: c[0],
+)
+def test_exponent_form_negative_limits(command):
+    base = (*command, "--f", "exp(x)", "--format", "json")
+    code, out, err = invoke(*base, "-a", "-1e-3", "-b", "-.5E-3")
+    assert (code, err) == (0, "")
+    assert invoke(*base, "-a=-1e-3", "-b=-.5E-3") == (0, out, "")
+    code, out, err = invoke(*base, "-a", "-1", "-b", "1")
+    assert (code, err) == (0, "")
+    assert invoke(*base, "-a=-1", "-b=1") == (0, out, "")
 
 
 def test_df_parses_each_expression_once(monkeypatch):

@@ -1,9 +1,9 @@
 import math
-import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import EDGE_ABSCISSAE, EDGE_TREES, outcome
 from msquad.errors import EvaluationError, ParseError
 from msquad.expressions import (
     BinOp,
@@ -131,14 +131,6 @@ def test_roundtrip_property(tree):
 # -- compiled evaluation -----------------------------------------------------
 
 
-def _outcome(fn, x):
-    """The result bits, or the exception class, message and abscissa."""
-    try:
-        return struct.pack("<d", fn(x))
-    except Exception as exc:  # any difference must show
-        return type(exc), str(exc), repr(getattr(exc, "abscissa", None))
-
-
 def test_compiled_matches_walk_on_corpus_grid():
     corpus = [
         "exp(-x^2)*sin(3*x)+1/(1+x^2)",
@@ -159,42 +151,12 @@ def test_compiled_matches_walk_on_corpus_grid():
         tree = parse(text)
         fn = compile_expression(tree)
         for x in xs:
-            assert _outcome(fn, x) == _outcome(lambda v: evaluate(tree, v), x), (text, x)
-
-
-# Leaves that reach the special cases: integer exponents (negative ones and
-# zero bases among them), non-integer and infinite exponents, values that
-# put log, sqrt and "/" on their domain edges, and exp overflow.
-_edge_numbers = st.sampled_from(
-    [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 0.5, -1.5, 1e999, -1e999,
-     2.0**31, 2.0**31 + 1.0, 710.0, 1e-300]
-)
-_edge_leaves = st.one_of(
-    st.builds(Num, _edge_numbers),
-    st.builds(Num, st.floats(allow_nan=False, allow_infinity=False)),
-    st.just(Var()),
-    st.builds(Const, st.sampled_from(["pi", "e"])),
-)
-_edge_trees = st.recursive(
-    _edge_leaves,
-    lambda kids: st.one_of(
-        st.builds(Neg, kids),
-        st.builds(Call, st.sampled_from(["exp", "log", "sin", "cos", "tan", "sqrt"]), kids),
-        st.builds(BinOp, st.sampled_from(list("+-*/^")), kids, kids),
-        st.builds(BinOp, st.just("^"), kids, st.builds(Num, _edge_numbers)),
-        st.builds(BinOp, st.just("^"), kids, st.builds(Neg, st.builds(Num, _edge_numbers))),
-    ),
-    max_leaves=10,
-)
-_abscissae = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 710.0, -710.0, 1e-300, 1e300]),
-    st.floats(allow_nan=False),
-)
+            assert outcome(fn, x) == outcome(lambda v: evaluate(tree, v), x), (text, x)
 
 
 @settings(max_examples=400)
-@given(_edge_trees, st.lists(_abscissae, min_size=1, max_size=6))
+@given(EDGE_TREES, st.lists(EDGE_ABSCISSAE, min_size=1, max_size=6))
 def test_compiled_matches_walk_bitwise(tree, xs):
     fn = compile_expression(tree)  # compiling never raises: errors belong to points
     for x in xs:
-        assert _outcome(fn, x) == _outcome(lambda v: evaluate(tree, v), x)
+        assert outcome(fn, x) == outcome(lambda v: evaluate(tree, v), x)

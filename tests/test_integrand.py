@@ -16,6 +16,8 @@ def test_interval_requires_increasing_finite_endpoints():
         Interval(2.0, -1.0)
     with pytest.raises(ValueError):
         Interval(0.0, math.inf)
+    with pytest.raises(ValueError, match="overflows"):
+        Interval(-1e308, 1e308)
 
 
 def test_grid_nodes_end_exactly_at_b():

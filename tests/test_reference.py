@@ -45,6 +45,8 @@ def test_constant_is_exact_with_zero_error():
 def test_tolerance_floor():
     with pytest.raises(ValueError):
         reference_integral(EXP, UNIT, tol=1e-15)
+    with pytest.raises(ValueError, match="got nan"):
+        reference_integral(EXP, UNIT, tol=math.nan)
 
 
 def test_subdivision_limit_carries_best_value():
