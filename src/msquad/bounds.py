@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
-
 from .errors import InvalidRangeError, SlopeInconsistencyError
 from .integrand import Integrand, Interval
 from .kernels import kernel_abs_integral, kernel_max_abs, scaled_constants
@@ -297,12 +295,14 @@ def estimate_derivative_range(
     mid = 0.5 * (iv.a + iv.b)
     rad = 0.5 * iv.width
     # Chebyshev extrema points: cluster near the endpoints and hit them.
-    angles = np.pi * np.arange(n_samples) / (n_samples - 1)
-    xs = np.flip(mid + rad * np.cos(angles))
+    xs = [
+        mid + rad * math.cos(math.pi * i / (n_samples - 1))
+        for i in reversed(range(n_samples))
+    ]
     xs[0], xs[-1] = iv.a, iv.b
 
     def dk(x: float) -> float:
-        return f.derivative(k, float(x))
+        return f.derivative(k, x)
 
     values = [dk(x) for x in xs]
     i_min = min(range(n_samples), key=values.__getitem__)
@@ -311,7 +311,7 @@ def estimate_derivative_range(
     tol = 1e-12 * max(iv.width, 1.0)
 
     def bracket(i: int) -> tuple[float, float]:
-        return float(xs[max(i - 1, 0)]), float(xs[min(i + 1, n_samples - 1)])
+        return xs[max(i - 1, 0)], xs[min(i + 1, n_samples - 1)]
 
     lo = _golden_polish(dk, *bracket(i_min), minimize=True, tol=tol)
     hi = _golden_polish(dk, *bracket(i_max), minimize=False, tol=tol)

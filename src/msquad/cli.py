@@ -44,13 +44,7 @@ from .reference import (
     convergence_study,
     reference_integral,
 )
-from .rules import (
-    Rule,
-    composite_modified_simpson,
-    composite_simpson,
-    corrected_midpoint_panel,
-    midpoint_panel,
-)
+from .rules import COMPOSITE_RULES, Rule, corrected_midpoint_panel, midpoint_panel
 
 _FORMATS = ("table", "csv", "json")
 _EXIT_OK = 0
@@ -276,10 +270,7 @@ def _cmd_integrate(args: argparse.Namespace, out: TextIO) -> int:
         payload["n_pairs"] = 1
     else:
         grid = UniformGrid(iv, args.n)
-        apply_rule = (
-            composite_simpson if rule is Rule.SIMPSON else composite_modified_simpson
-        )
-        result = apply_rule(f, grid)
+        result = COMPOSITE_RULES[rule](f, grid)
         value = result.value
         if result.leading_error_estimate is not None:
             estimate = sign * result.leading_error_estimate

@@ -161,21 +161,3 @@ class Integrand:
         except (ArithmeticError, ValueError) as exc:
             raise EvaluationError(str(exc), x) from exc
         return self._checked(raw, x, f"derivative of order {order}")
-
-    def with_first_derivative(self, dfn: Callable[[float], float]) -> "Integrand":
-        """Copy of this integrand with order 1 overridden by ``dfn``.
-
-        Higher orders still come from the original provider.
-        """
-        base = self._derivative_fn
-
-        def provider(order: int, x: float) -> float:
-            if order == 1:
-                return dfn(x)
-            if base is None:  # pragma: no cover - guarded by max_order check
-                raise DerivativeUnavailableError(order, 1)
-            return base(order, x)
-
-        return Integrand(
-            self._fn, provider, max_order=max(self._max_order, 1), name=self.name
-        )

@@ -14,8 +14,6 @@ import heapq
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ReferenceConvergenceError
 from .integrand import Integrand, Interval, UniformGrid
 from .rules import COMPOSITE_RULES, Rule
@@ -186,10 +184,15 @@ def _fit_order(rows: tuple[ConvergenceRow, ...]) -> tuple[float | None, tuple[in
     )
     if len(window) < 2:
         return None, window
-    log_h = np.log([rows[i].h for i in window])
-    log_e = np.log([rows[i].abs_error for i in window])
-    slope = float(np.polyfit(log_h, log_e, 1)[0])
-    return slope, window
+    # Closed-form least-squares slope with correctly rounded sums.
+    log_h = [math.log(rows[i].h) for i in window]
+    log_e = [math.log(rows[i].abs_error) for i in window]
+    mean_h = math.fsum(log_h) / len(window)
+    mean_e = math.fsum(log_e) / len(window)
+    du = [u - mean_h for u in log_h]
+    sxy = math.fsum(d * (v - mean_e) for d, v in zip(du, log_e))
+    sxx = math.fsum(d * d for d in du)
+    return sxy / sxx, window
 
 
 def convergence_study(

@@ -307,6 +307,16 @@ def symbolic_diff(node: Expression) -> Expression:
     raise TypeError(f"cannot differentiate {node!r}")
 
 
+def ulp_distance(x: float, y: float) -> int:
+    """Count of doubles from ``x`` to ``y``; the two zeros are 0 apart."""
+
+    def ordinal(v: float) -> int:
+        i = struct.unpack("<q", struct.pack("<d", v))[0]
+        return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
+
+    return abs(ordinal(x) - ordinal(y))
+
+
 # -- compiled code against the tree walks --------------------------------------
 
 

@@ -247,6 +247,34 @@ def test_estimator_brackets_sin_fourth_derivative():
     assert rng.lower <= 0.0 and rng.upper >= 1.0
 
 
+@pytest.mark.parametrize("n", [8, 9, 129])
+@pytest.mark.parametrize(
+    "a, b", [(0.0, 1.0), (-1.0, 1.0), (4.0, 4.2), (0.1, 0.7), (1.0, 1000.0), (-3.0, 7.5)]
+)
+def test_estimator_samples_chebyshev_extrema(a, b, n):
+    import mpmath as mp
+
+    seen = []
+
+    def provider(order, x):
+        seen.append(x)
+        return math.sin(x)
+
+    f = Integrand(math.sin, provider, max_order=6)
+    estimate_derivative_range(f, 2, Interval(a, b), n_samples=n)
+    xs = seen[:n]  # the golden-section polish follows the samples
+    assert all(x0 < x1 for x0, x1 in zip(xs, xs[1:]))
+    assert xs[0] == a and xs[-1] == b  # exact endpoints, not mid -/+ rad
+    # cancellation in mid + rad*cos near zero makes a per-point ulp count
+    # meaningless, so the tolerance is in ulps of the interval's magnitude
+    tol = 2 * math.ulp(max(abs(a), abs(b)))
+    with mp.workdps(50):
+        lo, hi = mp.mpf(a), mp.mpf(b)
+        for j, x in enumerate(xs):
+            exact = lo + (hi - lo) / 2 * (1 - mp.cos(mp.pi * j / (n - 1)))
+            assert abs(mp.mpf(x) - exact) <= tol
+
+
 def test_estimator_validation():
     with pytest.raises(ValueError):
         estimate_derivative_range(EXP, 2, UNIT, n_samples=4)

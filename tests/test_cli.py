@@ -290,20 +290,34 @@ def test_bounds_payload_matches_shipped_schema():
         jsonschema.validate(json.loads(out), schema)
 
 
-def test_console_script_entry_point():
-    # the child imports the msquad under test, installed or not
+def _child_env() -> dict[str, str]:
+    """Environment in which a child python imports the msquad under test."""
     import msquad
 
     src = os.path.dirname(os.path.dirname(msquad.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "msquad.cli", "integrate", "--f", "x^2",
          "-a", "0", "-b", "1", "--format", "csv"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert "value" in proc.stdout
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy alone costs about as much as the rest of a cold start
+    proc = subprocess.run(
+        [sys.executable, "-c", "import msquad.cli, sys; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_compare_exact_integrand_keeps_json_valid():

@@ -71,17 +71,3 @@ def test_math_domain_errors_are_wrapped():
     with pytest.raises(EvaluationError) as exc:
         f(-2.0)
     assert exc.value.abscissa == -2.0
-
-
-def test_first_derivative_override():
-    calls = []
-
-    def fake_df(x):
-        calls.append(x)
-        return 42.0
-
-    f = Integrand.from_callables(math.exp, math.exp, math.exp)
-    g = f.with_first_derivative(fake_df)
-    assert g.derivative(1, 0.5) == 42.0
-    assert g.derivative(2, 0.5) == math.exp(0.5)
-    assert calls == [0.5]

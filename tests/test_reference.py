@@ -1,11 +1,14 @@
 import math
+from fractions import Fraction
 
 import pytest
 
-from helpers import CORPUS, poly_integrand
+from helpers import CORPUS, poly_integrand, ulp_distance
 from msquad.errors import ReferenceConvergenceError
 from msquad.integrand import Integrand, Interval
 from msquad.reference import (
+    ConvergenceRow,
+    _fit_order,
     compare_rules,
     comparison_csv,
     convergence_csv,
@@ -99,6 +102,40 @@ def test_exact_integrand_reports_empty_fit_window():
     assert all(r.abs_error <= 1e-13 for r in table.rows)
     assert table.fitted_order is None
     assert table.fit_window == ()
+
+
+def _exact_slope(rows, window):
+    """Least-squares slope over the same ``math.log`` values, in exact
+    rational arithmetic, rounded once."""
+    u = [Fraction(math.log(rows[i].h)) for i in window]
+    v = [Fraction(math.log(rows[i].abs_error)) for i in window]
+    mu, mv = sum(u) / len(u), sum(v) / len(v)
+    sxy = sum((p - mu) * (q - mv) for p, q in zip(u, v))
+    sxx = sum((p - mu) ** 2 for p in u)
+    return float(sxy / sxx)
+
+
+@pytest.mark.parametrize(
+    "ns, error, window",
+    [
+        # near-exact h^6; the first row is above the pre-asymptotic ceiling
+        ((1, 2, 4, 8, 16, 32), lambda n, h: 0.7 * h**6 * (1 + 1e-9 * n), (1, 2, 3, 4, 5)),
+        # two rows inside the window, the last below the rounding floor
+        ((2, 4, 8), lambda n, h: {2: 3e-3, 4: 2.1e-4, 8: 1e-14}[n], (0, 1)),
+        # seven noisy rows of an order-4 rule
+        ((2, 3, 5, 8, 13, 21, 34), lambda n, h: 0.1 * h**4 * (1 + 0.3 * math.sin(n)),
+         (0, 1, 2, 3, 4, 5, 6)),
+    ],
+    ids=["h6", "two-rows", "seven-rows"],
+)
+def test_fit_order_matches_exact_least_squares(ns, error, window):
+    rows = tuple(
+        ConvergenceRow(n_pairs=n, h=0.5 / n, approx=0.0, abs_error=error(n, 0.5 / n))
+        for n in ns
+    )
+    fitted, got_window = _fit_order(rows)
+    assert got_window == window
+    assert ulp_distance(fitted, _exact_slope(rows, window)) <= 4
 
 
 def test_monotone_refinement_for_corpus():
