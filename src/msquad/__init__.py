@@ -68,7 +68,6 @@ from .rules import (
     modified_simpson_panel,
     simpson_panel,
 )
-from .summation import pairwise_sum
 
 __version__ = "0.1.0"
 
@@ -117,7 +116,6 @@ __all__ = [
     "midpoint_bounds",
     "midpoint_panel",
     "modified_simpson_panel",
-    "pairwise_sum",
     "panel_bound_k6",
     "panel_bounds",
     "parse",

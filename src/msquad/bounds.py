@@ -247,7 +247,9 @@ def _golden_polish(
     """Golden-section extremum of ``fn`` on [lo, hi]; returns the extreme value.
 
     Endpoint values participate, so monotone sections resolve to the
-    exact endpoint sample.
+    exact endpoint sample.  The search stops once the bracket is within
+    ``tol``, or once the float spacing keeps a step from shrinking it: the
+    loop state then repeats, and the search stops at the first repeat.
     """
     sign = 1.0 if minimize else -1.0
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -255,7 +257,16 @@ def _golden_polish(
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = sign * fn(c), sign * fn(d)
+    # Loop states after steps that left the bracket as it was; fc and fd
+    # are fn at c and d, so (a, b, c, d) is the whole state.
+    seen = set()
+    width = math.inf
     while b - a > tol:
+        if b - a == width:
+            if (a, b, c, d) in seen:
+                break
+            seen.add((a, b, c, d))
+        width = b - a
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

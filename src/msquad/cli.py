@@ -37,13 +37,7 @@ from .errors import (
 from .integrand import Integrand, Interval, UniformGrid
 from .jets import expression_integrand
 from .kernels import KERNEL_ORDERS, kernel_eval
-from .reference import (
-    compare_rules,
-    comparison_csv,
-    convergence_csv,
-    convergence_study,
-    reference_integral,
-)
+from .reference import compare_rules, convergence_study, reference_integral
 from .rules import COMPOSITE_RULES, Rule, corrected_midpoint_panel, midpoint_panel
 
 _FORMATS = ("table", "csv", "json")
@@ -382,9 +376,6 @@ def _cmd_converge(args: argparse.Namespace, out: TextIO) -> int:
     if iv is None:
         raise _UsageError("-a/-b: a convergence study needs a non-empty interval")
     table = convergence_study(Rule(args.rule), f, iv, n_list)
-    if args.format == "csv":
-        out.write(convergence_csv(table))
-        return _EXIT_OK
     rows = [[r.h, r.approx, r.abs_error] for r in table.rows]
     _emit_grid(
         ["h", "approx", "abs_error"],
@@ -403,12 +394,9 @@ def _cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
     if iv is None:
         raise _UsageError("-a/-b: a rule comparison needs a non-empty interval")
     cmp = compare_rules(f, iv, n_list)
-    if args.format == "csv":
-        out.write(comparison_csv(cmp))
-        return _EXIT_OK
     rows = []
     for rs, rm, ratio in zip(cmp.simpson.rows, cmp.modified.rows, cmp.error_ratios):
-        ratio_out = ratio if math.isfinite(ratio) else None  # keep JSON valid
+        ratio_out = ratio if math.isfinite(ratio) else None  # JSON null, CSV empty
         rows.append([rs.h, rs.approx, rs.abs_error, rm.approx, rm.abs_error, ratio_out])
     _emit_grid(
         ["h", "simpson", "simpson_abs_error", "msimpson", "msimpson_abs_error",

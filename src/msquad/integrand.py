@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import DerivativeUnavailableError, EvaluationError
 
@@ -73,13 +73,14 @@ class UniformGrid:
     def n_subintervals(self) -> int:
         return 2 * self.n_pairs
 
-    def nodes(self) -> list[float]:
-        """Grid nodes ``x_j = a + j*h``; the last node is clamped to ``b``."""
+    def nodes(self) -> Iterator[float]:
+        """Grid nodes ``x_j = a + j*h`` in increasing order, generated one
+        at a time; the last node is exactly ``b``."""
         a = self.interval.a
         h = self.h
-        xs = [a + j * h for j in range(2 * self.n_pairs + 1)]
-        xs[-1] = self.interval.b
-        return xs
+        for j in range(2 * self.n_pairs):
+            yield a + j * h
+        yield self.interval.b
 
 
 class Integrand:

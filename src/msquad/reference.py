@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ReferenceConvergenceError
 from .integrand import Integrand, Interval, UniformGrid
-from .rules import COMPOSITE_RULES, Rule
+from .rules import COMPOSITE_RULES, Rule, _finite
 
 # 15-point Kronrod nodes on [-1, 1] (positive half) and their weights,
 # with the embedded 7-point Gauss weights on the even-indexed nodes.
@@ -114,41 +114,39 @@ def reference_integral(
     Bisects the segment with the largest embedded error estimate until
     the summed estimate drops to ``tol``.  ``subdivisions`` reports the
     final segment count.  Raises :class:`ReferenceConvergenceError`
-    carrying the best value if the segment limit is hit first.
+    carrying the best value if the segment limit is hit first, and
+    :class:`EvaluationError` if the value overflows.
     """
     if not tol >= _MIN_TOL:  # a NaN tolerance fails here too
         raise ValueError(f"tolerance must be >= {_MIN_TOL}, got {tol}")
 
-    value, err = _kronrod_segment(f, iv.a, iv.b)
-    # heap entries: (-error, insertion counter, lo, hi, value, error)
-    heap = [(-err, 0, iv.a, iv.b, value, err)]
-    counter = 1
-    while True:
-        total_err = math.fsum(entry[5] for entry in heap)
-        if total_err <= tol:
-            break
-        if len(heap) >= segment_limit:
-            segments = sorted((e[2], e[4]) for e in heap)
-            best = math.fsum(v for _, v in segments)
-            raise ReferenceConvergenceError(
-                f"estimated error {total_err:.3e} still above tolerance {tol:.3e} "
-                f"after {len(heap)} segments",
-                best_value=best,
-                est_abs_error=total_err,
-            )
-        _, _, lo, hi, _, _ = heapq.heappop(heap)
-        mid = lo + 0.5 * (hi - lo)
-        for a, b in ((lo, mid), (mid, hi)):
-            v, e = _kronrod_segment(f, a, b)
-            heapq.heappush(heap, (-e, counter, a, b, v, e))
-            counter += 1
-
-    segments = sorted((e[2], e[4], e[5]) for e in heap)
-    return ReferenceResult(
-        value=math.fsum(v for _, v, _ in segments),
-        est_abs_error=math.fsum(e for _, _, e in segments),
-        subdivisions=len(segments),
-    )
+    try:
+        value, err = _kronrod_segment(f, iv.a, iv.b)
+        # heap entries: (-error, insertion counter, lo, hi, value, error)
+        heap = [(-err, 0, iv.a, iv.b, value, err)]
+        counter = 1
+        while True:
+            total_err = math.fsum(entry[5] for entry in heap)
+            if total_err <= tol:
+                break
+            if len(heap) >= segment_limit:
+                raise ReferenceConvergenceError(
+                    f"estimated error {total_err:.3e} still above tolerance {tol:.3e} "
+                    f"after {len(heap)} segments",
+                    best_value=math.fsum(entry[4] for entry in heap),
+                    est_abs_error=total_err,
+                )
+            _, _, lo, hi, _, _ = heapq.heappop(heap)
+            mid = lo + 0.5 * (hi - lo)
+            for a, b in ((lo, mid), (mid, hi)):
+                v, e = _kronrod_segment(f, a, b)
+                heapq.heappush(heap, (-e, counter, a, b, v, e))
+                counter += 1
+        value = math.fsum(entry[4] for entry in heap)
+    except (OverflowError, ValueError):  # math.fsum over overflowing samples
+        value = math.nan
+    _finite(value, "reference value")
+    return ReferenceResult(value=value, est_abs_error=total_err, subdivisions=len(heap))
 
 
 @dataclass(frozen=True)
@@ -265,27 +263,3 @@ def compare_rules(f: Integrand, iv: Interval, n_list: list[int]) -> RuleComparis
     return RuleComparison(
         simpson=simpson, modified=modified, error_ratios=tuple(ratios)
     )
-
-
-def convergence_csv(table: ConvergenceTable) -> str:
-    """CSV with columns h, approx, abs_error and a fitted-order trailer row."""
-    lines = ["h,approx,abs_error"]
-    for row in table.rows:
-        lines.append(f"{row.h!r},{row.approx!r},{row.abs_error!r}")
-    fitted = "" if table.fitted_order is None else repr(table.fitted_order)
-    lines.append(f"fitted_order,{fitted}")
-    return "\n".join(lines) + "\n"
-
-
-def comparison_csv(cmp: RuleComparison) -> str:
-    """Paired-table CSV: per-h errors for both rules plus their ratio."""
-    lines = ["h,simpson,simpson_abs_error,msimpson,msimpson_abs_error,error_ratio"]
-    for rs, rm, ratio in zip(cmp.simpson.rows, cmp.modified.rows, cmp.error_ratios):
-        lines.append(
-            f"{rs.h!r},{rs.approx!r},{rs.abs_error!r},"
-            f"{rm.approx!r},{rm.abs_error!r},{ratio!r}"
-        )
-    for label, table in (("simpson", cmp.simpson), ("msimpson", cmp.modified)):
-        fitted = "" if table.fitted_order is None else repr(table.fitted_order)
-        lines.append(f"fitted_order_{label},{fitted}")
-    return "\n".join(lines) + "\n"

@@ -11,11 +11,12 @@ derivatives are ever evaluated.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import Callable
 
-from .errors import DerivativeUnavailableError
+from .errors import DerivativeUnavailableError, EvaluationError
 from .integrand import Integrand, Interval, UniformGrid
-from .summation import pairwise_sum
 
 # Per pair of subintervals the corrected Simpson error is, to leading
 # order, h^6/9450 * [f^(5)(right) - f^(5)(left)]; summed over a grid the
@@ -56,9 +57,20 @@ def _modified_pair(fa: float, fm: float, fb: float, h: float) -> float:
     return (h / 15.0) * (7.0 * fa + 16.0 * fm + 7.0 * fb)
 
 
+def _finite(value: float, what: str) -> float:
+    """``value``, or :class:`EvaluationError` if it is inf or NaN.
+
+    Integrand values are finite, so a non-finite result means the
+    arithmetic of the rule overflowed.
+    """
+    if not math.isfinite(value):
+        raise EvaluationError(f"{what} overflows")
+    return value
+
+
 def midpoint_panel(f: Integrand, iv: Interval) -> float:
     """Midpoint rule: ``(b - a) * f((a + b)/2)``; exact through degree 1."""
-    return iv.width * f(iv.midpoint)
+    return _finite(iv.width * f(iv.midpoint), "midpoint rule value")
 
 
 def corrected_midpoint_panel(f: Integrand, iv: Interval) -> float:
@@ -68,13 +80,13 @@ def corrected_midpoint_panel(f: Integrand, iv: Interval) -> float:
     """
     w = iv.width
     correction = (w * w / 24.0) * (f.derivative(1, iv.b) - f.derivative(1, iv.a))
-    return w * f(iv.midpoint) + correction
+    return _finite(w * f(iv.midpoint) + correction, "cmidpoint rule value")
 
 
 def simpson_panel(f: Integrand, iv: Interval) -> float:
     """Simpson's rule ``(b-a)/6 * [f(a) + 4 f(m) + f(b)]``."""
     h = 0.5 * iv.width
-    return _simpson_pair(f(iv.a), f(iv.midpoint), f(iv.b), h)
+    return _finite(_simpson_pair(f(iv.a), f(iv.midpoint), f(iv.b), h), "simpson rule value")
 
 
 def modified_simpson_panel(f: Integrand, iv: Interval) -> float:
@@ -85,20 +97,38 @@ def modified_simpson_panel(f: Integrand, iv: Interval) -> float:
     h = 0.5 * iv.width
     weighted = _modified_pair(f(iv.a), f(iv.midpoint), f(iv.b), h)
     correction = (h * h / 15.0) * (f.derivative(1, iv.b) - f.derivative(1, iv.a))
-    return weighted - correction
+    return _finite(weighted - correction, "msimpson rule value")
+
+
+def _pair_sum(
+    f: Integrand, grid: UniformGrid, pair: Callable[[float, float, float, float], float]
+) -> float:
+    """Correctly rounded sum of ``pair`` over the grid's pairs of subintervals.
+
+    Nodes stream from :meth:`UniformGrid.nodes` in increasing order and
+    each pair's right-hand value is the next pair's left-hand value, so
+    memory does not grow with the pair count.  Returns NaN when the sum
+    overflows, which :func:`_finite` reports.
+    """
+    h = grid.h
+    values = map(f, grid.nodes())
+
+    def terms():
+        fa = next(values)
+        for fm, fb in zip(values, values):
+            yield pair(fa, fm, fb, h)
+            fa = fb
+
+    try:
+        return math.fsum(terms())
+    except (OverflowError, ValueError):  # fsum: intermediate overflow, or inf - inf
+        return math.nan
 
 
 def composite_simpson(f: Integrand, grid: UniformGrid) -> QuadResult:
     """Composite Simpson rule over the grid's pairs of subintervals."""
-    xs = grid.nodes()
-    fs = [f(x) for x in xs]
-    h = grid.h
-    pairs = [
-        _simpson_pair(fs[j - 1], fs[j], fs[j + 1], h)
-        for j in range(1, 2 * grid.n_pairs, 2)
-    ]
     return QuadResult(
-        value=pairwise_sum(pairs),
+        value=_finite(_pair_sum(f, grid, _simpson_pair), "simpson rule value"),
         rule_id=Rule.SIMPSON,
         panels=grid.n_pairs,
         leading_error_estimate=None,
@@ -113,13 +143,8 @@ def composite_modified_simpson(f: Integrand, grid: UniformGrid) -> QuadResult:
     count.  With a single pair this reproduces
     :func:`modified_simpson_panel` bitwise.
     """
-    xs = grid.nodes()
-    fs = [f(x) for x in xs]
+    total = _pair_sum(f, grid, _modified_pair)
     h = grid.h
-    pairs = [
-        _modified_pair(fs[j - 1], fs[j], fs[j + 1], h)
-        for j in range(1, 2 * grid.n_pairs, 2)
-    ]
     iv = grid.interval
     correction = (h * h / 15.0) * (f.derivative(1, iv.b) - f.derivative(1, iv.a))
     try:
@@ -127,7 +152,7 @@ def composite_modified_simpson(f: Integrand, grid: UniformGrid) -> QuadResult:
     except DerivativeUnavailableError:
         estimate = None
     return QuadResult(
-        value=pairwise_sum(pairs) - correction,
+        value=_finite(total - correction, "msimpson rule value"),
         rule_id=Rule.MODIFIED_SIMPSON,
         panels=grid.n_pairs,
         leading_error_estimate=estimate,

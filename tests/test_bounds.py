@@ -275,6 +275,17 @@ def test_estimator_samples_chebyshev_extrema(a, b, n):
             assert abs(mp.mpf(x) - exact) <= tol
 
 
+@pytest.mark.parametrize("a, b", [(1e4, 10001.0), (1e8, 100000000.001)])
+def test_estimator_polish_stops_at_float_spacing(a, b):
+    # the polish tolerance 1e-12 * max(width, 1) is below the float
+    # spacing near a, so the bracket stops shrinking before reaching it
+    sin_f = CORPUS[2].integrand()
+    rng = estimate_derivative_range(sin_f, 3, Interval(a, b))
+    samples = [-math.cos(a + (b - a) * i / 64) for i in range(65)]
+    assert rng.lower <= min(samples) and max(samples) <= rng.upper
+    assert -1.1 <= rng.lower and rng.upper <= 1.1
+
+
 def test_estimator_validation():
     with pytest.raises(ValueError):
         estimate_derivative_range(EXP, 2, UNIT, n_samples=4)

@@ -162,7 +162,20 @@ def test_converge_csv_output():
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "h,approx,abs_error"
+    assert len(lines) == 5
     assert lines[-1].startswith("fitted_order,")
+
+
+def test_compare_csv_shape():
+    # x^2 is exact for both rules, so every error ratio is 0/0
+    code, out, _ = invoke("compare", "--f", "x^2", "-a", "0", "-b", "1",
+                          "--n-list", "1,2", "--format", "csv")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "h,simpson,simpson_abs_error,msimpson,msimpson_abs_error,error_ratio"
+    assert [line.split(",")[-1] for line in lines[1:3]] == ["", ""]
+    assert lines[-2].startswith("fitted_order_simpson,")
+    assert lines[-1].startswith("fitted_order_msimpson,")
 
 
 def test_compare_table_output():
@@ -267,6 +280,25 @@ def test_parse_errors_name_their_option():
     code, _, err = invoke("integrate", "--f", "exp(x)", "--df", "exp(", "-a", "0", "-b", "1")
     assert code == 1
     assert err.startswith("msquad: error: --df: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--f", "5e306", "-a", "0", "-b", "45", "-n", "3"),
+        ("--f", "1e308*x", "-a", "-1", "-b", "1", "-n", "3", "--rule", "simpson"),
+        ("--f", "1e308", "-a", "0", "-b", "1", "-n", "2"),
+        ("--rule", "midpoint", "--f", "1e308", "-a", "0", "-b", "10"),
+        ("--f", "1e308", "-a", "0", "-b", "10", "--reference"),
+    ],
+    ids=["fsum-overflow", "fsum-inf-minus-inf", "nan", "midpoint-inf", "reference"],
+)
+def test_overflowing_values_are_one_line_evaluation_errors(argv):
+    code, out, err = invoke("integrate", *argv, "--format", "json")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("msquad: error: ")
 
 
 def test_evaluation_errors_exit_two():

@@ -1,17 +1,18 @@
+import io
 import math
 from fractions import Fraction
 
 import pytest
 
 from helpers import CORPUS, poly_integrand, ulp_distance
-from msquad.errors import ReferenceConvergenceError
+from msquad.cli import run
+from msquad.errors import EvaluationError, ReferenceConvergenceError
 from msquad.integrand import Integrand, Interval
+from msquad.jets import expression_integrand
 from msquad.reference import (
     ConvergenceRow,
     _fit_order,
     compare_rules,
-    comparison_csv,
-    convergence_csv,
     convergence_study,
     reference_integral,
 )
@@ -50,6 +51,17 @@ def test_tolerance_floor():
         reference_integral(EXP, UNIT, tol=1e-15)
     with pytest.raises(ValueError, match="got nan"):
         reference_integral(EXP, UNIT, tol=math.nan)
+
+
+@pytest.mark.parametrize(
+    "fn, iv",
+    [(lambda x: 1e308, Interval(0.0, 10.0)),
+     (lambda x: 1.7e308 * math.sin(x), Interval(0.0, 20.0))],
+    ids=["inf", "inf-minus-inf"],
+)
+def test_overflowing_reference_is_an_evaluation_error(fn, iv):
+    with pytest.raises(EvaluationError, match="reference value overflows"):
+        reference_integral(Integrand(fn), iv, tol=1e-12)
 
 
 def test_subdivision_limit_carries_best_value():
@@ -214,28 +226,26 @@ def test_compare_linear_integrand():
         assert rm.abs_error <= 1e-15
 
 
-def test_determinism():
-    t1 = convergence_study(Rule.MODIFIED_SIMPSON, GAUSS, UNIT, [2, 4, 8])
-    t2 = convergence_study(Rule.MODIFIED_SIMPSON, GAUSS, UNIT, [2, 4, 8])
-    assert t1 == t2
-
-
-# -- CSV emission ------------------------------------------------------------------
-
-
 def test_convergence_csv_shape():
-    table = convergence_study(Rule.MODIFIED_SIMPSON, GAUSS, UNIT, [2, 4])
-    text = convergence_csv(table)
+    def converge_csv() -> str:
+        out = io.StringIO()
+        code = run(["converge", "--f", "exp(-x^2)", "-a", "0", "-b", "1",
+                    "--n-list", "2,4", "--format", "csv"], out=out)
+        assert code == 0
+        return out.getvalue()
+
+    text = converge_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "h,approx,abs_error"
     assert len(lines) == 4
     assert lines[-1].startswith("fitted_order,")
-    assert convergence_csv(table) == text  # byte-stable
+    table = convergence_study(Rule.MODIFIED_SIMPSON, expression_integrand("exp(-x^2)"),
+                              UNIT, [2, 4])
+    assert lines[1:3] == [f"{r.h!r},{r.approx!r},{r.abs_error!r}" for r in table.rows]
+    assert converge_csv() == text  # byte-stable
 
 
-def test_comparison_csv_shape():
-    cmp = compare_rules(GAUSS, UNIT, [1, 2])
-    lines = comparison_csv(cmp).strip().split("\n")
-    assert lines[0] == "h,simpson,simpson_abs_error,msimpson,msimpson_abs_error,error_ratio"
-    assert lines[-2].startswith("fitted_order_simpson,")
-    assert lines[-1].startswith("fitted_order_msimpson,")
+def test_determinism():
+    t1 = convergence_study(Rule.MODIFIED_SIMPSON, GAUSS, UNIT, [2, 4, 8])
+    t2 = convergence_study(Rule.MODIFIED_SIMPSON, GAUSS, UNIT, [2, 4, 8])
+    assert t1 == t2

@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,7 @@ from helpers import (
     poly_integral,
     poly_integrand,
 )
-from msquad.errors import DerivativeUnavailableError
+from msquad.errors import DerivativeUnavailableError, EvaluationError
 from msquad.integrand import Integrand, Interval, UniformGrid
 from msquad.jets import expression_integrand
 from msquad.rules import (
@@ -261,3 +262,48 @@ def test_determinism_and_thread_safety():
             pool.map(lambda _: composite_modified_simpson(f, grid).value, range(32))
         )
     assert all(r == baseline for r in results)
+
+
+def test_composite_sum_is_correctly_rounded():
+    # pair terms of both signs over 24 decades; the oracle is the exact
+    # Fraction sum of the same float terms, rounded once
+    def fn(x):
+        return math.sin(997.0 * x) * 10.0 ** round(12 * math.sin(31.0 * x))
+
+    n = 2000
+    grid = UniformGrid(UNIT, n)
+    h = grid.h
+    fs = [fn(j * h) for j in range(2 * n)] + [fn(1.0)]
+    pairs = [(h / 3.0) * (fs[j - 1] + 4.0 * fs[j] + fs[j + 1]) for j in range(1, 2 * n, 2)]
+    exact = float(sum(map(F, pairs)))
+    assert sum(pairs) != exact  # plain float summation gets this wrong
+    assert composite_simpson(Integrand(fn), grid).value == exact
+
+
+def test_composite_memory_does_not_grow_with_pair_count():
+    const = Integrand.from_callables(lambda x: 1.0, *[lambda x: 0.0] * 5)
+    grid = UniformGrid(UNIT, 200_000)
+    tracemalloc.start()
+    try:
+        value = composite_modified_simpson(const, grid).value
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(1.0, rel=1e-12)
+    assert peak < 1 << 20
+
+
+BIG = Integrand.from_callables(lambda x: 1e308, *[lambda x: 0.0] * 6)
+
+
+@pytest.mark.parametrize(
+    "apply",
+    [midpoint_panel, corrected_midpoint_panel, simpson_panel, modified_simpson_panel,
+     lambda f, iv: composite_simpson(f, UniformGrid(iv, 3)).value,
+     lambda f, iv: composite_modified_simpson(f, UniformGrid(iv, 3)).value],
+    ids=["midpoint", "cmidpoint", "simpson", "msimpson", "composite-simpson",
+         "composite-msimpson"],
+)
+def test_overflowing_rule_value_is_an_evaluation_error(apply):
+    with pytest.raises(EvaluationError, match="rule value overflows"):
+        apply(BIG, Interval(0.0, 10.0))
