@@ -26,6 +26,7 @@ from typing import Literal
 from .errors import InvalidRangeError, SlopeInconsistencyError
 from .integrand import Integrand, Interval
 from .kernels import kernel_abs_integral, kernel_max_abs, scaled_constants
+from .rules import _finite
 
 # Slack for the mean-value consistency check: the secant is a difference
 # of floats, so it may poke out of a tight range by a few ulps.
@@ -96,6 +97,11 @@ class BoundReport:
     peano_classic: float
     best: float
     rigorous: bool
+
+    def __post_init__(self) -> None:
+        for bound in (self.range_bound, self.lower_gap_bound, self.upper_gap_bound,
+                      self.peano_classic):
+            _finite(bound, "error bound")
 
 
 def _check_pair(k: int, rng: DerivativeRange, slope: SecantSlope) -> tuple[float, float]:
@@ -213,7 +219,7 @@ def composite_bound_k6(sup_f6: float, h: float, length: float) -> float:
         raise ValueError(f"grid spacing must be positive, got {h}")
     if not length > 0:
         raise ValueError(f"interval length must be positive, got {length}")
-    return 0.5 * scaled_constants(6).d * sup_f6 * h**6 * length
+    return _finite(0.5 * scaled_constants(6).d * sup_f6 * h**6 * length, "error bound")
 
 
 def midpoint_bounds(m2: float, m4: float, length: float) -> tuple[float, float, float]:

@@ -298,15 +298,10 @@ def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> int:
             "range_lower": 0.0, "range_upper": 0.0,
             "range_provenance": "user-supplied",
         }
-        if k == 6:
-            payload.update({"sup_f6": 0.0, "bound": 0.0, "rigorous": True})
-        else:
-            payload.update({
-                "secant": 0.0,
-                "range_bound": 0.0, "lower_gap_bound": 0.0,
-                "upper_gap_bound": 0.0, "peano_classic": 0.0,
-                "best": 0.0, "rigorous": True,
-            })
+        fields = ("sup_f6", "bound") if k == 6 else (
+            "secant", "range_bound", "lower_gap_bound", "upper_gap_bound", "peano_classic",
+            "best")
+        payload.update(dict.fromkeys(fields, 0.0), rigorous=True)
         _emit_record(payload, args.format, out)
         return _EXIT_OK
 
@@ -433,10 +428,7 @@ def run(
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args, out)
-    except _UsageError as exc:
-        print(f"msquad: error: {exc}", file=err)
-        return _EXIT_USAGE
-    except InvalidRangeError as exc:
+    except (_UsageError, InvalidRangeError) as exc:
         print(f"msquad: error: {exc}", file=err)
         return _EXIT_USAGE
     except (

@@ -1,4 +1,4 @@
-"""Parser and evaluator for scalar expressions in one variable.
+"""Parser, evaluator and compiler for scalar expressions in one variable.
 
 Grammar (EBNF, also shipped in docs/grammar.ebnf):
 
@@ -15,11 +15,19 @@ Grammar (EBNF, also shipped in docs/grammar.ebnf):
 ``-x^2`` means ``-(x^2)``.  Whitespace is insignificant; identifiers are
 case-sensitive.  Parse errors carry the byte offset of the offending
 token.
+
+A tree's value comes from one walker, written against a small scalar
+arithmetic that has two implementations.  On ``Binary64`` (floats) it is
+:func:`evaluate`, the reference.  On ``Tracer`` (source text) it writes one
+straight-line function with the same binary64 operations in the same order
+and the same domain checks: :func:`compile_expression`.  The Taylor jets of
+:mod:`msquad.jets` run on the same two arithmetics.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -67,7 +75,7 @@ Expression = Union[Num, Var, Const, Neg, BinOp, Call]
 
 # -- tokenizer ---------------------------------------------------------------
 
-_OPERATORS = "+-*/^"
+_SINGLE = {**dict.fromkeys("+-*/^", "op"), "(": "lparen", ")": "rparen"}
 
 
 @dataclass(frozen=True)
@@ -85,14 +93,8 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch in _OPERATORS:
-            tokens.append(_Token("op", ch, i))
-            i += 1
-        elif ch == "(":
-            tokens.append(_Token("lparen", ch, i))
-            i += 1
-        elif ch == ")":
-            tokens.append(_Token("rparen", ch, i))
+        if ch in _SINGLE:
+            tokens.append(_Token(_SINGLE[ch], ch, i))
             i += 1
         elif ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
             start = i
@@ -257,168 +259,186 @@ def to_string(node: Expression) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-# -- evaluation --------------------------------------------------------------
+# -- evaluation and compilation ----------------------------------------------
+
+_OVERFLOW = "overflow during evaluation"
+_DIVISION_BY_ZERO = "division by zero"  # the jets check these two as well
+_LOG_DOMAIN = "log of non-positive value {!r}"
+_TESTS = {"==": operator.eq, "<=": operator.le, "<": operator.lt}
+_INFIX = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 
 
-def _pow_value(base: float, expo: float, x: float) -> float:
-    if expo == int(expo) and abs(expo) <= 2**31:
-        n = int(expo)
-        if base == 0.0 and n < 0:
-            raise EvaluationError("zero raised to a negative power", x)
-        return base**n
-    if base <= 0.0:
-        raise EvaluationError(
-            f"non-integer power of a non-positive base {base!r}", x
-        )
-    return math.exp(expo * math.log(base))
+class Binary64:
+    """The reference arithmetic: values are floats, all known now, and ``let``
+    is the identity.  ``x`` is the abscissa that a failed check reports."""
+
+    def __init__(self, x: float):
+        self.x = x
+
+    const = known = let = staticmethod(lambda v: v)
+    neg, add, sub, mul, div, pow = (
+        operator.neg, operator.add, operator.sub, operator.mul, operator.truediv, operator.pow
+    )
+    fsum = math.fsum
+    exp, log, sin, cos, tan, sqrt = (getattr(math, fn) for fn in FUNCTIONS)
+
+    def check(self, v: float, test: str, message: str) -> None:
+        """Raise ``message``, its ``{!r}`` filled with ``v``, if ``v test 0.0``."""
+        if _TESTS[test](v, 0.0):
+            raise EvaluationError(message.format(v), self.x)
+
+
+class _Expr(str):
+    """Source of an operator expression: it is parenthesised as an operand."""
+
+
+def _src(v) -> str:
+    """Source of a value; numbers are the walkers' own literals."""
+    if isinstance(v, tuple):
+        return f"({', '.join(map(_src, v))},)"
+    return repr(v) if isinstance(v, (int, float)) else v
+
+
+def _operand(v) -> str:
+    return f"({v})" if isinstance(v, _Expr) else _src(v)
+
+
+def _infix(op: str):
+    return lambda self, a, b: _Expr(f"{_operand(a)} {op} {_operand(b)}")
+
+
+def _call(fn: str):
+    return lambda self, a: f"{fn}({_src(a)})"
+
+
+class Tracer:
+    """The compiling arithmetic: values are source text and ops append lines.
+
+    A value is a local or constant name, a number literal of the walker's,
+    or an expression that ``let`` binds to a local.  Constants enter as
+    names bound to their exact values, so no user text reaches the source.
+    Negating a finite constant is exact, so it folds; nothing else does.
+    """
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.constants: dict[str, float] = {}
+        self.scope: dict = {"EvaluationError": EvaluationError, "Binary64": Binary64,
+                            "fsum": math.fsum, **{fn: getattr(math, fn) for fn in FUNCTIONS}}
+
+    def const(self, value: float) -> str:
+        name = f"k{len(self.constants)}"
+        self.constants[name] = self.scope[name] = value
+        return name
+
+    def known(self, v):
+        """The value of ``v`` if it is a finite constant, else None: ``int()``
+        of any other exponent must fail at run time, not here."""
+        value = v if isinstance(v, (int, float)) else self.constants.get(v)
+        return value if value is not None and math.isfinite(value) else None
+
+    def let(self, v):
+        if not isinstance(v, str) or v.isidentifier():
+            return v
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"{name} = {v}")
+        return name
+
+    def neg(self, a):
+        value = self.known(a)
+        return _Expr(f"-{_operand(a)}") if value is None else self.const(-value)
+
+    add, sub, mul, div, pow = (_infix(op) for op in ("+", "-", "*", "/", "**"))
+    exp, log, sin, cos, tan, sqrt = (_call(fn) for fn in FUNCTIONS)
+
+    def fsum(self, terms):
+        # math.fsum of nothing is 0.0; of one item it is not always the item
+        return f"fsum({_src(tuple(terms))})" if terms else 0.0
+
+    def check(self, v, test: str, message: str) -> None:
+        self.lines.append(f"if {_operand(v)} {test} 0.0: "
+                          f"raise EvaluationError({message!r}.format({_src(v)}), x)")
+
+    def defer(self, walk, *args, size=None):
+        """Emit one run-time call of ``walk`` on ``Binary64``, for a decision
+        that needs values the trace does not know; ``size`` unpacks a tuple."""
+        self.scope[walk.__name__] = walk
+        call = f"{walk.__name__}(Binary64(x), {', '.join(map(_src, args))})"
+        if size is None:
+            return self.let(call)
+        names = tuple(f"t{len(self.lines)}_{j}" for j in range(size))
+        self.lines.append(f"{', '.join(names)} = {call}")
+        return names
+
+    def function(self, result, overflow: str, filename: str) -> Callable:
+        """A function of ``x`` running the lines; OverflowError becomes ``overflow``."""
+        body = "".join(f"        {line}\n" for line in self.lines)
+        source = (f"def f(x):\n    try:\n{body}        return {_src(result)}\n"
+                  "    except OverflowError:\n"
+                  f"        raise EvaluationError({overflow!r}, x) from None\n")
+        exec(compile(source, filename, "exec"), self.scope)
+        return self.scope["f"]
 
 
 def evaluate(node: Expression, x: float) -> float:
     """Evaluate the tree at ``x`` in binary64, with domain checks."""
     try:
-        return _evaluate(node, x)
+        return _value(Binary64(x), node, x)
     except OverflowError:
-        raise EvaluationError("overflow during evaluation", x) from None
-
-
-def _evaluate(node: Expression, x: float) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Const):
-        return CONSTANTS[node.name]
-    if isinstance(node, Neg):
-        return -_evaluate(node.arg, x)
-    if isinstance(node, BinOp):
-        left = _evaluate(node.left, x)
-        right = _evaluate(node.right, x)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if right == 0.0:
-                raise EvaluationError("division by zero", x)
-            return left / right
-        return _pow_value(left, right, x)
-    if isinstance(node, Call):
-        arg = _evaluate(node.arg, x)
-        if node.fn == "exp":
-            return math.exp(arg)
-        if node.fn == "log":
-            if arg <= 0.0:
-                raise EvaluationError(f"log of non-positive value {arg!r}", x)
-            return math.log(arg)
-        if node.fn == "sin":
-            return math.sin(arg)
-        if node.fn == "cos":
-            return math.cos(arg)
-        if node.fn == "tan":
-            return math.tan(arg)
-        if node.fn == "sqrt":
-            if arg < 0.0:
-                raise EvaluationError(f"sqrt of negative value {arg!r}", x)
-            return math.sqrt(arg)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-# -- compilation -------------------------------------------------------------
-#
-# The tree is emitted as the source of one Python function, in which every
-# node other than a leaf assigns one local, in the order ``_evaluate``
-# visits the nodes, followed by its domain check where it has one.  So the
-# function performs the same binary64 operations in the same order and
-# raises the same errors with the same messages, and its results are
-# bitwise identical.  Like ``evaluate``, one handler turns OverflowError
-# into an EvaluationError.  Constants enter as names bound to their exact
-# values, and no user text reaches the source.
-
-_CALL_CHECKS = {
-    "log": "if {a} <= 0.0: raise EvaluationError(f'log of non-positive value {{{a}!r}}', x)",
-    "sqrt": "if {a} < 0.0: raise EvaluationError(f'sqrt of negative value {{{a}!r}}', x)",
-}
+        raise EvaluationError(_OVERFLOW, x) from None
 
 
 def compile_expression(node: Expression) -> Callable[[float], float]:
-    """Compile the tree once into a function of ``x``.
-
-    The function returns exactly what :func:`evaluate` returns and raises
-    the same exceptions with the same messages and abscissae, at a
-    fraction of the cost per point.  Compiling a well-formed tree never
-    raises: an error belongs to the evaluation at its abscissa.
-    """
-    lines: list[str] = []
-    scope: dict = {
-        "EvaluationError": EvaluationError,
-        "pow_value": _pow_value,
-        **{fn: getattr(math, fn) for fn in FUNCTIONS},
-    }
-    result = _emit(node, lines, scope)
-    body = "".join(f"        {line}\n" for line in lines)
-    source = (
-        "def compiled(x):\n"
-        "    try:\n"
-        f"{body}"
-        f"        return {result}\n"
-        "    except OverflowError:\n"
-        "        raise EvaluationError('overflow during evaluation', x) from None\n"
-    )
-    exec(compile(source, "<msquad expression>", "exec"), scope)
-    return scope["compiled"]
+    """Compile the tree once into a function of ``x`` that returns and
+    raises what :func:`evaluate` does, at a fraction of the cost per point.
+    Compiling never raises: an error belongs to the point that makes it."""
+    tracer = Tracer()
+    return tracer.function(_value(tracer, node, "x"), _OVERFLOW, "<msquad expression>")
 
 
-def _constant(value: float, scope: dict) -> str:
-    name = f"k{len(scope)}"
-    scope[name] = value
-    return name
-
-
-def _is_integer_exponent(expo: float) -> bool:
-    """The exponents ``_pow_value`` raises by repeated multiplication."""
-    return math.isfinite(expo) and expo == int(expo) and abs(expo) <= 2**31
-
-
-def _emit(node: Expression, lines: list[str], scope: dict) -> str:
-    """Append the statements for ``node``; return the name of its value."""
+def _value(A, node: Expression, x):
+    """The value of ``node`` in arithmetic ``A``, where ``x`` is the variable."""
     if isinstance(node, Num):
-        return _constant(node.value, scope)
+        return A.const(node.value)
     if isinstance(node, Var):
-        return "x"
+        return x
     if isinstance(node, Const):
-        return _constant(CONSTANTS[node.name], scope)
+        return A.const(CONSTANTS[node.name])
     if isinstance(node, Neg):
-        arg = _emit(node.arg, lines, scope)
-        if arg in scope:  # a constant: negation is exact, so do it once
-            return _constant(-scope[arg], scope)
-        expr = f"-{arg}"
-    elif isinstance(node, BinOp) and node.op in _PRECEDENCE:
-        left = _emit(node.left, lines, scope)
-        right = _emit(node.right, lines, scope)
+        return A.let(A.neg(_value(A, node.arg, x)))
+    if isinstance(node, BinOp):
+        left, right = _value(A, node.left, x), _value(A, node.right, x)
+        if node.op not in _INFIX:
+            return _power(A, left, right)
         if node.op == "/":
-            lines.append(f"if {right} == 0.0: raise EvaluationError('division by zero', x)")
-            expr = f"{left} / {right}"
-        elif node.op != "^":
-            expr = f"{left} {node.op} {right}"
-        elif right in scope and _is_integer_exponent(scope[right]):
-            n = int(scope[right])
-            if n < 0:
-                lines.append(
-                    f"if {left} == 0.0: "
-                    "raise EvaluationError('zero raised to a negative power', x)"
-                )
-            expr = f"{left} ** {n}"
-        else:
-            expr = f"pow_value({left}, {right}, x)"
-    elif isinstance(node, Call) and node.fn in FUNCTIONS:
-        arg = _emit(node.arg, lines, scope)
-        if node.fn in _CALL_CHECKS:
-            lines.append(_CALL_CHECKS[node.fn].format(a=arg))
-        expr = f"{node.fn}({arg})"
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    name = f"t{len(lines)}"
-    lines.append(f"{name} = {expr}")
-    return name
+            A.check(right, "==", _DIVISION_BY_ZERO)
+        return A.let(getattr(A, _INFIX[node.op])(left, right))
+    if isinstance(node, Call) and node.fn in FUNCTIONS:
+        arg = _value(A, node.arg, x)
+        if node.fn == "log":
+            A.check(arg, "<=", _LOG_DOMAIN)
+        elif node.fn == "sqrt":
+            A.check(arg, "<", "sqrt of negative value {!r}")
+        return A.let(getattr(A, node.fn)(arg))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _exponent(A, base, e):
+    """The integer ``n`` of ``base ** n`` after its domain check, or None after
+    the non-integer one, when ``e`` is no such integer or None (it varies)."""
+    if e is not None and e == int(e) and abs(e) <= 2**31:
+        if e < 0:
+            A.check(base, "==", "zero raised to a negative power")
+        return int(e)
+    A.check(base, "<=", "non-integer power of a non-positive base {!r}")
+    return None
+
+
+def _power(A, base, expo):
+    e = A.known(expo)
+    if e is None:
+        return A.defer(_power, base, expo)
+    n = _exponent(A, base, e)
+    if n is None:
+        return A.let(A.exp(A.mul(expo, A.log(base))))
+    return A.let(A.pow(base, n))

@@ -4,9 +4,11 @@ A :class:`TaylorJet` holds truncated Taylor coefficients
 ``c_j = f^(j)(x0) / j!`` for j = 0..6.  One propagation pass through an
 expression tree yields every derivative order the bounds machinery needs
 (the corrected rules use order 1, the leading-error estimate order 5 and
-the bound families orders 2..6).  :func:`compile_jet` turns that pass
-into straight-line code once per expression; :func:`derivatives` and
-:class:`TaylorJet` stay as the reference it matches bit for bit.
+the bound families orders 2..6).  The pass and the recurrence of each
+operation are written once, against the scalar arithmetic of
+:mod:`msquad.expressions`: on ``Binary64`` they are :func:`derivatives`,
+the reference, and on ``Tracer`` they write the straight-line function
+that :func:`compile_jet` returns.
 """
 
 from __future__ import annotations
@@ -16,19 +18,22 @@ from typing import Callable
 
 from .errors import EvaluationError
 from .expressions import (
+    _DIVISION_BY_ZERO,
+    _INFIX,
+    _LOG_DOMAIN,
     CONSTANTS,
     FUNCTIONS,
     BinOp,
+    Binary64,
     Call,
     Const,
     Expression,
     Neg,
     Num,
+    Tracer,
     Var,
-    _constant,
-    _is_integer_exponent,
+    _exponent,
     compile_expression,
-    evaluate,
     parse,
 )
 from .integrand import Integrand
@@ -36,6 +41,10 @@ from .integrand import Integrand
 ORDER = 6
 _N = ORDER + 1
 _FACTORIALS = tuple(math.factorial(j) for j in range(_N))
+_ZEROS = (0.0,) * ORDER
+_OVERFLOW = "overflow during derivative propagation"
+_ZERO_SERIES = "jet division by a series with zero value"
+_FLOATS = Binary64(None)  # for TaylorJet arithmetic, which checks no domain
 
 
 class TaylorJet:
@@ -85,345 +94,168 @@ class TaylorJet:
         return TaylorJet(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "TaylorJet") -> "TaylorJet":
-        a, b = self.coeffs, other.coeffs
-        return TaylorJet(
-            tuple(
-                math.fsum(a[i] * b[j - i] for i in range(j + 1))
-                for j in range(_N)
-            )
-        )
+        return TaylorJet(_mul(_FLOATS, self.coeffs, other.coeffs))
 
     def __truediv__(self, other: "TaylorJet") -> "TaylorJet":
-        a, b = self.coeffs, other.coeffs
-        if b[0] == 0.0:
-            raise ZeroDivisionError("jet division by a series with zero value")
-        q = [a[0] / b[0]]
-        for j in range(1, _N):
-            acc = a[j] - math.fsum(b[i] * q[j - i] for i in range(1, j + 1))
-            q.append(acc / b[0])
-        return TaylorJet(q)
+        if other.coeffs[0] == 0.0:
+            raise ZeroDivisionError(_ZERO_SERIES)
+        return TaylorJet(_div(_FLOATS, self.coeffs, other.coeffs))
 
 
-def _jet_exp(a: TaylorJet) -> TaylorJet:
-    u = [math.exp(a.value)]
+# -- the recurrences --------------------------------------------------------
+#
+# A jet is a tuple of seven values of arithmetic ``A``, each coefficient one
+# ``let``.  Each sum of products is one ``fsum``: traced, the products stay
+# inside the call, where binding each to a local would only add stores.
+# Every coefficient is computed, though a caller may need one order, or sin
+# only the sine: an ``fsum`` may raise (on inf - inf, or on overflow), so
+# which inputs fail depends on all of them.  The sign of a NaN is not kept:
+# CPython 3.11 takes it for a product of two NaNs from either operand,
+# depending on whether it has specialised that multiplication yet.
+
+
+def _mul(A, a, b):
+    return tuple(
+        A.let(A.fsum([A.mul(a[i], b[j - i]) for i in range(j + 1)])) for j in range(_N)
+    )
+
+
+def _div(A, a, b):
+    """The quotient, once the caller has checked ``b[0]``."""
+    q = [A.let(A.div(a[0], b[0]))]
+    for j in range(1, _N):
+        acc = A.sub(a[j], A.fsum([A.mul(b[i], q[j - i]) for i in range(1, j + 1)]))
+        q.append(A.let(A.div(acc, b[0])))
+    return tuple(q)
+
+
+def _scaled(A, a):
+    """``j * a[j]``, the left factor of every exp and sin/cos product."""
+    return [None] + [A.let(A.mul(j, a[j])) for j in range(1, _N)]
+
+
+def _exp(A, a):
+    u = [A.let(A.exp(a[0]))]
+    d = _scaled(A, a)
     for k in range(1, _N):
-        u.append(math.fsum(j * a.coeffs[j] * u[k - j] for j in range(1, k + 1)) / k)
-    return TaylorJet(u)
+        u.append(A.let(A.div(A.fsum([A.mul(d[j], u[k - j]) for j in range(1, k + 1)]), k)))
+    return tuple(u)
 
 
-def _jet_log(a: TaylorJet) -> TaylorJet:
-    u = [math.log(a.value)]
+def _log(A, a):
+    """The logarithm, once the caller has checked ``a[0] > 0``."""
+    u = [A.let(A.log(a[0]))]
     for k in range(1, _N):
-        acc = a.coeffs[k] - math.fsum(
-            (j / k) * u[j] * a.coeffs[k - j] for j in range(1, k)
-        )
-        u.append(acc / a.value)
-    return TaylorJet(u)
+        terms = [A.mul(A.mul(j / k, u[j]), a[k - j]) for j in range(1, k)]
+        u.append(A.let(A.div(A.sub(a[k], A.fsum(terms)), a[0])))
+    return tuple(u)
 
 
-def _jet_sin_cos(a: TaylorJet) -> tuple[TaylorJet, TaylorJet]:
-    s = [math.sin(a.value)]
-    c = [math.cos(a.value)]
+def _sin_cos(A, a):
+    s = [A.let(A.sin(a[0]))]
+    c = [A.let(A.cos(a[0]))]
+    d = _scaled(A, a)
     for k in range(1, _N):
-        s.append(math.fsum(j * a.coeffs[j] * c[k - j] for j in range(1, k + 1)) / k)
-        c.append(-math.fsum(j * a.coeffs[j] * s[k - j] for j in range(1, k + 1)) / k)
-    return TaylorJet(s), TaylorJet(c)
+        s.append(A.let(A.div(A.fsum([A.mul(d[j], c[k - j]) for j in range(1, k + 1)]), k)))
+        c.append(A.let(A.div(A.neg(A.fsum([A.mul(d[j], s[k - j]) for j in range(1, k + 1)])), k)))
+    return tuple(s), tuple(c)
 
 
-def _jet_sqrt(a: TaylorJet) -> TaylorJet:
-    u = [math.sqrt(a.value)]
+def _sqrt(A, a):
+    """The square root, once the caller has checked ``a[0] > 0``."""
+    u = [A.let(A.sqrt(a[0]))]
+    twice = A.let(A.mul(2.0, u[0]))
     for k in range(1, _N):
-        acc = a.coeffs[k] - math.fsum(u[j] * u[k - j] for j in range(1, k))
-        u.append(acc / (2.0 * u[0]))
-    return TaylorJet(u)
+        terms = [A.mul(u[j], u[k - j]) for j in range(1, k)]
+        u.append(A.let(A.div(A.sub(a[k], A.fsum(terms)), twice)))
+    return tuple(u)
 
 
-def _jet_int_pow(base: TaylorJet, n: int) -> TaylorJet:
+def _int_pow(A, base, n: int):
+    """Square and multiply; on the tracer the loop unrolls itself."""
     if n == 0:
-        return TaylorJet.constant(1.0)
+        return (1.0,) + _ZEROS
     if n < 0:
-        return TaylorJet.constant(1.0) / _jet_int_pow(base, -n)
-    result = None
-    square = base
+        p = _int_pow(A, base, -n)
+        A.check(p[0], "==", _ZERO_SERIES)
+        return _div(A, (1.0,) + _ZEROS, p)
+    result, square = None, base
     while n:
         if n & 1:
-            result = square if result is None else result * square
+            result = square if result is None else _mul(A, result, square)
         n >>= 1
         if n:
-            square = square * square
-    assert result is not None
+            square = _mul(A, square, square)
     return result
 
 
-def _propagate(node: Expression, x_jet: TaylorJet, x0: float) -> TaylorJet:
+def _pow(A, base, expo):
+    e = [A.known(c) for c in expo]
+    if None in e:
+        return A.defer(_pow, base, expo, size=_N)
+    n = _exponent(A, base[0], e[0] if all(c == 0.0 for c in e[1:]) else None)
+    if n is None:
+        return _exp(A, _mul(A, expo, _log(A, base)))
+    return _int_pow(A, base, n)
+
+
+def _jet(A, node: Expression, x):
+    """The jet of ``node`` in arithmetic ``A``, where ``x`` is the variable's."""
     if isinstance(node, Num):
-        return TaylorJet.constant(node.value)
+        return (A.const(float(node.value)),) + _ZEROS
     if isinstance(node, Var):
-        return x_jet
+        return x
     if isinstance(node, Const):
-        return TaylorJet.constant(evaluate(node, x0))
+        return (A.const(CONSTANTS[node.name]),) + _ZEROS
     if isinstance(node, Neg):
-        return -_propagate(node.arg, x_jet, x0)
+        return tuple(A.let(A.neg(c)) for c in _jet(A, node.arg, x))
     if isinstance(node, BinOp):
-        left = _propagate(node.left, x_jet, x0)
-        right = _propagate(node.right, x_jet, x0)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
+        a, b = _jet(A, node.left, x), _jet(A, node.right, x)
+        if node.op in "+-":
+            op = getattr(A, _INFIX[node.op])
+            return tuple(A.let(op(p, q)) for p, q in zip(a, b))
         if node.op == "*":
-            return left * right
+            return _mul(A, a, b)
         if node.op == "/":
-            if right.value == 0.0:
-                raise EvaluationError("division by zero", x0)
-            return left / right
-        return _jet_pow(left, right, x0)
-    if isinstance(node, Call):
-        arg = _propagate(node.arg, x_jet, x0)
+            A.check(b[0], "==", _DIVISION_BY_ZERO)
+            return _div(A, a, b)
+        return _pow(A, a, b)
+    if isinstance(node, Call) and node.fn in FUNCTIONS:
+        a = _jet(A, node.arg, x)
         if node.fn == "exp":
-            return _jet_exp(arg)
+            return _exp(A, a)
         if node.fn == "log":
-            if arg.value <= 0.0:
-                raise EvaluationError(f"log of non-positive value {arg.value!r}", x0)
-            return _jet_log(arg)
-        if node.fn == "sin":
-            return _jet_sin_cos(arg)[0]
-        if node.fn == "cos":
-            return _jet_sin_cos(arg)[1]
-        if node.fn == "tan":
-            s, c = _jet_sin_cos(arg)
-            if c.value == 0.0:
-                raise EvaluationError("tan at a pole", x0)
-            return s / c
+            A.check(a[0], "<=", _LOG_DOMAIN)
+            return _log(A, a)
         if node.fn == "sqrt":
-            if arg.value <= 0.0:
-                # the derivative is singular at 0 even though the value exists
-                raise EvaluationError(
-                    f"sqrt not differentiable at non-positive value {arg.value!r}", x0
-                )
-            return _jet_sqrt(arg)
+            # the derivative is singular at 0 even though the value exists
+            A.check(a[0], "<=", "sqrt not differentiable at non-positive value {!r}")
+            return _sqrt(A, a)
+        s, c = _sin_cos(A, a)
+        if node.fn == "sin":
+            return s
+        if node.fn == "cos":
+            return c
+        A.check(c[0], "==", "tan at a pole")
+        return _div(A, s, c)
     raise TypeError(f"not an expression node: {node!r}")
-
-
-def _jet_pow(base: TaylorJet, expo: TaylorJet, x0: float) -> TaylorJet:
-    if expo.is_constant() and expo.value == int(expo.value) and abs(expo.value) <= 2**31:
-        n = int(expo.value)
-        if base.value == 0.0 and n < 0:
-            raise EvaluationError("zero raised to a negative power", x0)
-        return _jet_int_pow(base, n)
-    if base.value <= 0.0:
-        raise EvaluationError(
-            f"non-integer power of a non-positive base {base.value!r}", x0
-        )
-    return _jet_exp(expo * _jet_log(base))
 
 
 def derivatives(expr: Expression, x0: float) -> TaylorJet:
     """Propagate a full order-6 jet of ``expr`` through the tree at ``x0``."""
     try:
-        return _propagate(expr, TaylorJet.variable(x0), x0)
+        return TaylorJet(_jet(Binary64(x0), expr, TaylorJet.variable(x0).coeffs))
     except OverflowError:
-        raise EvaluationError("overflow during derivative propagation", x0) from None
-    except ZeroDivisionError as exc:
-        raise EvaluationError(str(exc), x0) from None
-
-
-# -- compilation -------------------------------------------------------------
-#
-# As ``expressions.compile_expression`` does for point values, the tree is
-# emitted once as the source of one straight-line function of ``x``, here
-# returning the seven jet coefficients.  Every coefficient is one local and
-# every recurrence above is unrolled: each ``math.fsum`` becomes a call on a
-# tuple of the same products in the same order, and nodes, domain checks
-# and coefficients come in the order ``_propagate`` computes them, the
-# coefficients it computes but does not use included (their ``fsum`` may
-# raise).  So the function returns the coefficients of ``derivatives`` bit
-# for bit and raises what it raises, with the same handlers around the body.
-# A positive literal integer exponent within 2**31 is unrolled by square
-# and multiply; any other exponent (negated or zero literals included) goes
-# through ``_jet_pow`` on ``TaylorJet`` objects, which gives the same bits.
-# Constants enter as names bound to their exact values.
-
-_ZEROS = ("0.0",) * ORDER
-
-
-def _fsum(terms: list[str]) -> str:
-    # math.fsum of nothing is 0.0; of one item it is not always the item
-    return f"fsum(({', '.join(terms)},))" if terms else "0.0"
-
-
-def _scaled_sum(d, u, k: int) -> str:
-    """The fsum of ``j * a[j] * u[k - j]`` over j = 1..k, given ``d[j] = j * a[j]``."""
-    return _fsum([f"{d[j]} * {u[k - j]}" for j in range(1, k + 1)])
-
-
-def _literal_integer(node: Expression) -> int | None:
-    """The exponent ``_jet_int_pow`` gets for a positive literal, else None."""
-    if not isinstance(node, Num):
-        return None
-    value = float(node.value)
-    return int(value) if _is_integer_exponent(value) and value >= 1.0 else None
-
-
-class _JetEmitter:
-    """Appends the statements of one jet function; a jet is 7 operand strings."""
-
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-        self.scope: dict = {
-            "EvaluationError": EvaluationError,
-            "Jet": TaylorJet,
-            "jet_pow": _jet_pow,
-            "fsum": math.fsum,
-            **{fn: getattr(math, fn) for fn in ("exp", "log", "sin", "cos", "sqrt")},
-        }
-
-    def let(self, expr: str) -> str:
-        name = f"c{len(self.lines)}"
-        self.lines.append(f"{name} = {expr}")
-        return name
-
-    def check(self, condition: str, error: str) -> None:
-        self.lines.append(f"if {condition}: raise {error}")
-
-    def jet(self, node: Expression) -> tuple[str, ...]:
-        if isinstance(node, Num):
-            return (_constant(float(node.value), self.scope),) + _ZEROS
-        if isinstance(node, Var):
-            return ("xf", "1.0") + _ZEROS[1:]
-        if isinstance(node, Const):
-            return (_constant(CONSTANTS[node.name], self.scope),) + _ZEROS
-        if isinstance(node, Neg):
-            return tuple(self.let(f"-{c}") for c in self.jet(node.arg))
-        if isinstance(node, BinOp):
-            a = self.jet(node.left)
-            n = _literal_integer(node.right) if node.op == "^" else None
-            if n is not None:
-                return self.int_pow(a, n)
-            b = self.jet(node.right)
-            if node.op in "+-":
-                return tuple(self.let(f"{a[j]} {node.op} {b[j]}") for j in range(_N))
-            if node.op == "*":
-                return self.mul(a, b)
-            if node.op == "/":
-                self.check(f"{b[0]} == 0.0", "EvaluationError('division by zero', x)")
-                return self.div(a, b)
-            names = [f"c{len(self.lines)}_{j}" for j in range(_N)]
-            self.lines.append(
-                f"{', '.join(names)} = jet_pow(Jet(({', '.join(a)},)), "
-                f"Jet(({', '.join(b)},)), x).coeffs"
-            )
-            return tuple(names)
-        if isinstance(node, Call) and node.fn in FUNCTIONS:
-            a = self.jet(node.arg)
-            if node.fn == "exp":
-                return self.exp(a)
-            if node.fn == "log":
-                return self.log(a)
-            if node.fn == "sqrt":
-                return self.sqrt(a)
-            s, c = self.sin_cos(a)
-            if node.fn == "sin":
-                return s
-            if node.fn == "cos":
-                return c
-            self.check(f"{c[0]} == 0.0", "EvaluationError('tan at a pole', x)")
-            return self.div(s, c)
-        raise TypeError(f"not an expression node: {node!r}")
-
-    def mul(self, a, b) -> tuple[str, ...]:
-        return tuple(
-            self.let(_fsum([f"{a[i]} * {b[j - i]}" for i in range(j + 1)]))
-            for j in range(_N)
-        )
-
-    def div(self, a, b) -> tuple[str, ...]:
-        """``TaylorJet.__truediv__`` after the caller's check of ``b[0]``."""
-        q = [self.let(f"{a[0]} / {b[0]}")]
-        for j in range(1, _N):
-            terms = [f"{b[i]} * {q[j - i]}" for i in range(1, j + 1)]
-            q.append(self.let(f"({a[j]} - {_fsum(terms)}) / {b[0]}"))
-        return tuple(q)
-
-    def int_pow(self, base, n: int) -> tuple[str, ...]:
-        """``_jet_int_pow`` for ``n >= 1`` with its loop run at compile time."""
-        result, square = None, base
-        while n:
-            if n & 1:
-                result = square if result is None else self.mul(result, square)
-            n >>= 1
-            if n:
-                square = self.mul(square, square)
-        return result
-
-    def scaled(self, a) -> list[str]:
-        """``j * a[j]``, the left factor of every exp/sin/cos product."""
-        return [""] + [self.let(f"{j} * {a[j]}") for j in range(1, _N)]
-
-    def exp(self, a) -> tuple[str, ...]:
-        u = [self.let(f"exp({a[0]})")]
-        d = self.scaled(a)
-        for k in range(1, _N):
-            u.append(self.let(f"{_scaled_sum(d, u, k)} / {k}"))
-        return tuple(u)
-
-    def log(self, a) -> tuple[str, ...]:
-        self.check(f"{a[0]} <= 0.0",
-                   f"EvaluationError(f'log of non-positive value {{{a[0]}!r}}', x)")
-        u = [self.let(f"log({a[0]})")]
-        for k in range(1, _N):
-            terms = [f"{j / k!r} * {u[j]} * {a[k - j]}" for j in range(1, k)]
-            u.append(self.let(f"({a[k]} - {_fsum(terms)}) / {a[0]}"))
-        return tuple(u)
-
-    def sin_cos(self, a) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        s = [self.let(f"sin({a[0]})")]
-        c = [self.let(f"cos({a[0]})")]
-        d = self.scaled(a)
-        for k in range(1, _N):
-            s.append(self.let(f"{_scaled_sum(d, c, k)} / {k}"))
-            c.append(self.let(f"-{_scaled_sum(d, s, k)} / {k}"))
-        return tuple(s), tuple(c)
-
-    def sqrt(self, a) -> tuple[str, ...]:
-        self.check(
-            f"{a[0]} <= 0.0",
-            "EvaluationError("
-            f"f'sqrt not differentiable at non-positive value {{{a[0]}!r}}', x)",
-        )
-        u = [self.let(f"sqrt({a[0]})")]
-        twice = self.let(f"2.0 * {u[0]}")
-        for k in range(1, _N):
-            terms = [f"{u[j]} * {u[k - j]}" for j in range(1, k)]
-            u.append(self.let(f"({a[k]} - {_fsum(terms)}) / {twice}"))
-        return tuple(u)
+        raise EvaluationError(_OVERFLOW, x0) from None
 
 
 def compile_jet(expr: Expression) -> Callable[[float], tuple[float, ...]]:
-    """Compile the tree once into a function of ``x`` returning its jet.
-
-    The function returns exactly ``derivatives(expr, x).coeffs`` and
-    raises the same exceptions with the same messages and abscissae, at a
-    fraction of the cost per point.  Compiling a well-formed tree never
-    raises: an error belongs to the propagation at its abscissa.
-    """
-    emitter = _JetEmitter()
-    coeffs = emitter.jet(expr)
-    body = "".join(f"        {line}\n" for line in emitter.lines)
-    source = (
-        "def jet(x):\n"
-        "    try:\n"
-        "        xf = float(x)\n"
-        f"{body}"
-        f"        return ({', '.join(coeffs)})\n"
-        "    except OverflowError:\n"
-        "        raise EvaluationError("
-        "'overflow during derivative propagation', x) from None\n"
-        "    except ZeroDivisionError as exc:\n"
-        "        raise EvaluationError(str(exc), x) from None\n"
-    )
-    exec(compile(source, "<msquad jet>", "exec"), emitter.scope)
-    return emitter.scope["jet"]
+    """Compile the tree once into a function of ``x`` that returns
+    ``derivatives(expr, x).coeffs`` and raises what :func:`derivatives`
+    does.  Compiling never raises: an error belongs to the point."""
+    tracer = Tracer()
+    x = (tracer.let("float(x)"), 1.0) + _ZEROS[1:]
+    return tracer.function(_jet(tracer, expr, x), _OVERFLOW, "<msquad jet>")
 
 
 def expression_integrand(

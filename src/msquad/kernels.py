@@ -38,15 +38,11 @@ def _poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, .
     return tuple(out)
 
 
-def _poly_scale(c: Fraction, p: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(c * a for a in p)
-
-
 def _product(scale: Fraction, *factors: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    out: tuple[Fraction, ...] = (_F(1),)
+    out: tuple[Fraction, ...] = (scale,)
     for f in factors:
         out = _poly_mul(out, f)
-    return _poly_scale(scale, out)
+    return out
 
 
 def _x_minus(c: Fraction) -> tuple[Fraction, ...]:

@@ -75,7 +75,7 @@ def _kronrod_segment(f: Integrand, lo: float, hi: float) -> tuple[float, float]:
     # fs layout: pairs (below, above) for i=0..6, then the centre point
     if fs.count(fs[0]) == len(fs):
         # flat samples: the embedded pair is exact, difference estimate is 0
-        return fs[0] * (hi - lo), 0.0
+        return _finite(fs[0] * (hi - lo), "reference value"), 0.0
 
     resk = math.fsum(
         [_WGK[i] * (fs[2 * i] + fs[2 * i + 1]) for i in range(7)] + [_WGK[7] * fs[14]]
@@ -100,7 +100,8 @@ def _kronrod_segment(f: Integrand, lo: float, hi: float) -> tuple[float, float]:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     if resabs > 0.0:
         err = max(err, 50.0 * _EPS * resabs)
-    return value, err
+    # bisecting cannot mend an overflow, so stop at the first
+    return _finite(value, "reference value"), _finite(err, "reference value")
 
 
 def reference_integral(

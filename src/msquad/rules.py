@@ -40,7 +40,8 @@ class QuadResult:
     """Outcome of a composite rule application.
 
     ``leading_error_estimate`` is filled only when the integrand supplies
-    derivative order 5 (corrected Simpson rule only).
+    derivative order 5 and the estimate does not overflow (corrected
+    Simpson rule only).
     """
 
     value: float
@@ -148,14 +149,14 @@ def composite_modified_simpson(f: Integrand, grid: UniformGrid) -> QuadResult:
     iv = grid.interval
     correction = (h * h / 15.0) * (f.derivative(1, iv.b) - f.derivative(1, iv.a))
     try:
-        estimate: float | None = leading_error_estimate(f, grid)
-    except DerivativeUnavailableError:
-        estimate = None
+        estimate = leading_error_estimate(f, grid)
+    except (DerivativeUnavailableError, OverflowError):  # no f^(5), or h^6 overflows
+        estimate = math.inf
     return QuadResult(
         value=_finite(total - correction, "msimpson rule value"),
         rule_id=Rule.MODIFIED_SIMPSON,
         panels=grid.n_pairs,
-        leading_error_estimate=estimate,
+        leading_error_estimate=estimate if math.isfinite(estimate) else None,
     )
 
 

@@ -3,14 +3,17 @@
 Everything here is deliberately independent of the library code paths it
 checks: exact rational arithmetic for the rule formulas and kernel
 integrals, hand-coded symbolic derivatives for the corpus functions,
-Richardson-extrapolated finite differences, and a tree differentiator
-for the expression AST.  The edge-case trees at the end drive the
-properties that compare compiled code with the tree walks it replaces.
+Richardson-extrapolated finite differences, a tree differentiator for
+the expression AST, and a tree walker in mpmath arithmetic.  The edge-case
+trees and the compile corpora at the end drive the properties that compare
+compiled code with the tree walks and with the golden digests of an
+earlier, separately written compiler.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -368,3 +371,112 @@ EDGE_ABSCISSAE = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 710.0, -710.0, 1e-300, 1e300]),
     st.floats(allow_nan=False),
 )
+
+
+# -- corpora for the compiled code, and its golden digests ----------------------
+
+# One operator or function per entry, on the edges the grids hit, plus the
+# composite-sized integrands.
+VALUE_CORPUS = (
+    "exp(-x^2)*sin(3*x)+1/(1+x^2)",
+    "cos(2.5*x)*exp(-1.2*x)+sqrt(1+0.7*x^2)",
+    "log(1+1.3*x^2)*cos(4.1*x)+x/(1+0.9*x^2)",
+    "tan(x/4) - log(x+5) + -(x+1)^2 + x*x - x/x",
+    "1/(x-1)", "x/(x-1)", "2/x", "sin(x)/x", "x/0", "(x+1)/0", "x/2",
+    "log(x)", "log(x-1)", "log(0)", "sqrt(x)", "sqrt(x-1)", "sqrt(-x)",
+    "x^2", "(x-1)^2", "x^-2", "(x-1)^-1", "0^-1", "x^0", "x^0.5",
+    "(x-1)^1.5", "x^1e999", "x^2147483648", "x^2147483649", "2^x", "x^x",
+    "exp(x)", "exp(x^2)", "exp(1000)", "1-x^2", "x^2-1", "1-x", "x-1",
+    "x+1", "1+x", "x*3", "3*x", "-x", "-(x-1)", "tan(x)", "cos(x)", "sin(x)",
+)
+VALUE_GRID = tuple([-2.0 + 4.0 * j / 2000 for j in range(2001)]
+                   + [0.0, -0.0, 1.0, -1.0, 710.0, -710.0, 1e300, -1e300,
+                      math.inf, -math.inf])
+
+JET_CORPUS = (
+    "exp(-x^2)*sin(3*x)+1/(1+x^2)",
+    "cos(2.5*x)*exp(-1.2*x)+sqrt(1+0.7*x^2)",
+    "log(1+1.3*x^2)*cos(4.1*x)+x/(1+0.9*x^2)",
+    "tan(x/4) - log(x+5) + -(x+1)^2 + x*x - x/x",
+    "exp(x)", "exp(x^2)", "exp(1000)", "exp(-x)", "log(x)", "log(x-1)",
+    "log(0)", "sqrt(x)", "sqrt(x-1)", "sqrt(-x)", "sin(x)", "cos(x)",
+    "tan(x)", "1/tan(x)", "sin(x)/cos(x)", "1/(x-1)", "x/(x-1)", "2/x",
+    "sin(x)/x", "x/0", "x-1", "1-x", "-x", "-(x-1)", "x*3", "pi*e*x",
+    # literal integer exponents up to the 2^31 limit, negated and zero ones
+    # among them
+    "x^2", "(x-1)^2", "x^7", "x^0", "x^-0", "x^-1", "x^-2", "(x-1)^-1",
+    "0^-1", "(1e-200*x)^-2", "(1e200*x)^3", "x^2147483647", "x^-2147483648",
+    "x^2147483648", "x^2147483649",
+    # every other kind of exponent
+    "x^0.5", "(x-1)^1.5", "x^1e999", "x^-1e999", "2^x", "x^x", "x^(x-x)",
+    "x^(x-x-2)", "(1e-200*x)^(0-2)", "x^(2*1)", "x^3^2", "x^--2", "x^pi",
+)
+JET_GRID = tuple([-2.0 + 4.0 * j / 200 for j in range(201)]
+                 + [0.0, -0.0, 1e-300, -1e-300, 710.0, -710.0, 1e160, 1e300, -1e300,
+                    math.inf, -math.inf, math.nan, math.pi / 2])
+
+# One instance of each expression family of bench/workloads.py.
+BENCH_FAMILIES = (
+    "exp(-1.25*x^2)*sin(3.5*x)+1/(1+0.75*x^2)",
+    "cos(3.5*x)*exp(-1.25*x)+sqrt(1+0.75*x^2)",
+    "log(1+0.75*x^2)*cos(3.5*x)+x/(1+1.25*x^2)",
+    "exp(1.2*x)",
+    "sin(1.5*x)+cos(2.5*x)",
+    "1/(1+2.5*x^2)",
+    "log(1+x)*exp(-0.8*x)",
+    "sin(40.5*x)*exp(-x)",
+    "exp(-x^2)*cos(25.1*x)",
+    "1/(1+25.3*x^2)",
+    "1/(1e-2+x^2)",
+)
+
+
+def compiled_digests() -> dict[str, dict[str, str]]:
+    """Per expression, sha256 digests of what its compiled value function
+    returns or raises over ``VALUE_GRID`` and what its compiled jet does
+    over ``JET_GRID`` (NaNs as one marker, see :func:`outcome`).
+
+    ``tests/data/compiled_golden.json`` holds these digests as computed by
+    an earlier release's compilers, which were written independently of
+    the tree walks; the command that made it is recorded in the file.
+    """
+    import hashlib
+
+    from msquad.expressions import compile_expression, parse
+    from msquad.jets import compile_jet
+
+    def digest(fn, grid, any_nan):
+        data = repr([outcome(fn, x, any_nan) for x in grid]).encode()
+        return hashlib.sha256(data).hexdigest()
+
+    out = {}
+    for text in dict.fromkeys(VALUE_CORPUS + JET_CORPUS + BENCH_FAMILIES):
+        tree = parse(text)
+        out[text] = {
+            "value": digest(compile_expression(tree), VALUE_GRID, False),
+            "jet": digest(compile_jet(tree), JET_GRID, True),
+        }
+    return out
+
+
+# -- the expression tree in mpmath arithmetic -----------------------------------
+
+_MP_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": operator.pow}
+
+
+def mp_value(node: Expression, x):
+    """The tree evaluated in mpmath at the mpf ``x``, for ``mpmath.taylor``."""
+    import mpmath as mp
+
+    if isinstance(node, Num):
+        return mp.mpf(node.value)
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Const):
+        return mp.pi if node.name == "pi" else mp.e
+    if isinstance(node, Neg):
+        return -mp_value(node.arg, x)
+    if isinstance(node, BinOp):
+        return _MP_OPS[node.op](mp_value(node.left, x), mp_value(node.right, x))
+    return getattr(mp, node.fn)(mp_value(node.arg, x))

@@ -358,3 +358,28 @@ def test_compare_exact_integrand_keeps_json_valid():
     assert code == 0
     payload = json.loads(out, parse_constant=lambda s: pytest.fail(f"non-finite {s}"))
     assert all(row[-1] is None or row[-1] > 0 for row in payload["rows"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--f", "exp(-x^2)", "-a", "0", "-b", "1"],
+    ["integrate", "--f", "exp(-x^2)", "-a", "0", "-b", "1", "--reference"],
+    *(["bounds", "--f", "exp(-x^2)", "-a", "0", "-b", "1", "-k", str(k)] for k in range(2, 7)),
+    ["kernel"],
+    ["converge", "--f", "sin(3*x)*exp(-x)", "-a", "0", "-b", "2"],
+    ["compare", "--f", "sin(3*x)*exp(-x)", "-a", "0", "-b", "2"],
+    # the estimate overflows; the integral itself is finite
+    ["integrate", "--f", "exp(x)", "-a", "0", "-b", "700", "-n", "1"],
+], ids=lambda argv: " ".join(argv))
+def test_json_output_is_strict_json(argv):
+    code, out, _ = invoke(*argv, "--format", "json")
+    assert code == 0
+    json.loads(out, parse_constant=lambda s: pytest.fail(f"non-finite {s}"))
+
+
+def test_overflowing_estimate_and_bound():
+    _, out, _ = invoke("integrate", "--f", "exp(x)", "-a", "0", "-b", "700", "-n", "1")
+    assert "leading_error_estimate  n/a" in out
+    for k in ("4", "6"):
+        code, out, err = invoke("bounds", "--f", "exp(x)", "-a", "0", "-b", "700", "-k", k,
+                                "--format", "json")
+        assert (code, out, err) == (2, "", "msquad: error: error bound overflows\n")

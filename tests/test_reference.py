@@ -56,12 +56,16 @@ def test_tolerance_floor():
 @pytest.mark.parametrize(
     "fn, iv",
     [(lambda x: 1e308, Interval(0.0, 10.0)),
-     (lambda x: 1.7e308 * math.sin(x), Interval(0.0, 20.0))],
-    ids=["inf", "inf-minus-inf"],
+     (lambda x: 1.7e308 * math.sin(x), Interval(0.0, 20.0)),
+     (lambda x: 1.7e308 * math.sin(x), Interval(-1.0, 1.0))],
+    ids=["inf", "inf-minus-inf", "inf-error-estimate"],
 )
 def test_overflowing_reference_is_an_evaluation_error(fn, iv):
+    xs = []
+    counting = Integrand(lambda x: xs.append(x) or fn(x))
     with pytest.raises(EvaluationError, match="reference value overflows"):
-        reference_integral(Integrand(fn), iv, tol=1e-12)
+        reference_integral(counting, iv, tol=1e-12)
+    assert len(xs) == 15  # one G7/K15 segment: bisecting cannot mend an overflow
 
 
 def test_subdivision_limit_carries_best_value():
