@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import InvalidRangeError, SlopeInconsistencyError
+from .errors import EvaluationError, InvalidRangeError, SlopeInconsistencyError
 from .integrand import Integrand, Interval
 from .kernels import kernel_abs_integral, kernel_max_abs, scaled_constants
 from .rules import _finite
@@ -33,6 +33,14 @@ from .rules import _finite
 _CONSISTENCY_RTOL = 1e-9
 
 Provenance = Literal["user-supplied", "sampled-estimate"]
+
+
+def _pow(base: float, n: int) -> float:
+    """``base ** n`` for a bound; float ``**`` raises OverflowError, not inf."""
+    try:
+        return base**n
+    except OverflowError:
+        raise EvaluationError("error bound overflows") from None
 
 
 @dataclass(frozen=True)
@@ -166,7 +174,7 @@ def panel_bounds(k: int, rng: DerivativeRange, slope: SecantSlope, h: float) -> 
     if not h > 0:
         raise ValueError(f"grid spacing must be positive, got {h}")
     kc = scaled_constants(k)
-    hk1 = h ** (k + 1)
+    hk1 = _pow(h, k + 1)
     assert kc.e is not None
     return _report(k, rng, slope, kc.d * hk1, kc.e * hk1)
 
@@ -208,7 +216,7 @@ def panel_bound_k6(sup_f6: float, h: float) -> float:
         raise ValueError(f"sup norm must be non-negative, got {sup_f6}")
     if not h > 0:
         raise ValueError(f"grid spacing must be positive, got {h}")
-    return scaled_constants(6).d * sup_f6 * h**7
+    return scaled_constants(6).d * sup_f6 * _pow(h, 7)
 
 
 def composite_bound_k6(sup_f6: float, h: float, length: float) -> float:
@@ -219,7 +227,7 @@ def composite_bound_k6(sup_f6: float, h: float, length: float) -> float:
         raise ValueError(f"grid spacing must be positive, got {h}")
     if not length > 0:
         raise ValueError(f"interval length must be positive, got {length}")
-    return _finite(0.5 * scaled_constants(6).d * sup_f6 * h**6 * length, "error bound")
+    return _finite(0.5 * scaled_constants(6).d * sup_f6 * _pow(h, 6) * length, "error bound")
 
 
 def midpoint_bounds(m2: float, m4: float, length: float) -> tuple[float, float, float]:
@@ -233,10 +241,10 @@ def midpoint_bounds(m2: float, m4: float, length: float) -> tuple[float, float, 
     """
     if m2 < 0 or m4 < 0:
         raise ValueError("derivative sup norms must be non-negative")
-    w3 = length**3
+    w3 = _pow(length, 3)
     classic = w3 * m2 / 24.0
     corrected = w3 * m2 / (18.0 * math.sqrt(3.0))
-    corrected_h4 = 7.0 * m4 * length**5 / 5760.0
+    corrected_h4 = 7.0 * m4 * _pow(length, 5) / 5760.0
     return classic, corrected, corrected_h4
 
 
@@ -244,7 +252,7 @@ def simpson_classic_bound(sup_f4: float, h: float, length: float) -> float:
     """Textbook composite-Simpson bound ``||f^(4)|| h^4 (b - a) / 180``."""
     if sup_f4 < 0:
         raise ValueError(f"sup norm must be non-negative, got {sup_f4}")
-    return sup_f4 * h**4 * length / 180.0
+    return sup_f4 * _pow(h, 4) * length / 180.0
 
 
 def _golden_polish(

@@ -20,8 +20,9 @@ A tree's value comes from one walker, written against a small scalar
 arithmetic that has two implementations.  On ``Binary64`` (floats) it is
 :func:`evaluate`, the reference.  On ``Tracer`` (source text) it writes one
 straight-line function with the same binary64 operations in the same order
-and the same domain checks: :func:`compile_expression`.  The Taylor jets of
-:mod:`msquad.jets` run on the same two arithmetics.
+and the same domain checks: :func:`compile_expression`, or the same lines
+inlined at every node of a composite pair loop: :func:`compile_pair_terms`.
+The Taylor jets of :mod:`msquad.jets` run on the same two arithmetics.
 """
 
 from __future__ import annotations
@@ -370,14 +371,32 @@ class Tracer:
         self.lines.append(f"{', '.join(names)} = {call}")
         return names
 
-    def function(self, result, overflow: str, filename: str) -> Callable:
-        """A function of ``x`` running the lines; OverflowError becomes ``overflow``."""
-        body = "".join(f"        {line}\n" for line in self.lines)
-        source = (f"def f(x):\n    try:\n{body}        return {_src(result)}\n"
-                  "    except OverflowError:\n"
-                  f"        raise EvaluationError({overflow!r}, x) from None\n")
+    def _block(self, indent: int, last: str) -> str:
+        return "".join(f"{' ' * indent}{line}\n" for line in (*self.lines, last))
+
+    def _define(self, source: str, filename: str) -> Callable:
         exec(compile(source, filename, "exec"), self.scope)
         return self.scope["f"]
+
+    def function(self, result, overflow: str, filename: str) -> Callable:
+        """A function of ``x`` running the lines; OverflowError becomes ``overflow``."""
+        return self._define(f"def f(x):\n    try:\n{self._block(8, f'return {_src(result)}')}"
+                            "    except OverflowError:\n"
+                            f"        raise EvaluationError({overflow!r}, x) from None\n",
+                            filename)
+
+    def pair_terms(self, result) -> Callable:
+        """A generator ``f(nodes, c, we, wm)`` of ``c * (we*fa + wm*fm + we*fb)``
+        over the pairs of subintervals of ``nodes``, the lines inlined at each
+        node.  It checks nothing the lines do not, and wraps no error."""
+        def at(indent, name):
+            return self._block(indent, f"{name} = {_src(result)}")
+
+        return self._define(f"def f(nodes, c, we, wm):\n    x = next(nodes)\n{at(4, 'fa')}"
+                            f"    for x, xb in zip(nodes, nodes):\n{at(8, 'fm')}"
+                            f"        x = xb\n{at(8, 'fb')}"
+                            "        yield c * (we * fa + wm * fm + we * fb)\n"
+                            "        fa = fb\n", "<msquad pair terms>")
 
 
 def evaluate(node: Expression, x: float) -> float:
@@ -394,6 +413,13 @@ def compile_expression(node: Expression) -> Callable[[float], float]:
     Compiling never raises: an error belongs to the point that makes it."""
     tracer = Tracer()
     return tracer.function(_value(tracer, node, "x"), _OVERFLOW, "<msquad expression>")
+
+
+def compile_pair_terms(node: Expression) -> Callable:
+    """Compile the tree once into the generator of composite pair terms that
+    :mod:`msquad.rules` sums (see :meth:`Tracer.pair_terms`)."""
+    tracer = Tracer()
+    return tracer.pair_terms(_value(tracer, node, "x"))
 
 
 def _value(A, node: Expression, x):

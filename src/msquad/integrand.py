@@ -92,6 +92,8 @@ class Integrand:
     :class:`EvaluationError` carrying the offending abscissa.
     """
 
+    _pair_terms = None  # an expression integrand's traced composite pair loop
+
     def __init__(
         self,
         fn: Callable[[float], float],

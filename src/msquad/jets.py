@@ -34,6 +34,7 @@ from .expressions import (
     Var,
     _exponent,
     compile_expression,
+    compile_pair_terms,
     parse,
 )
 from .integrand import Integrand
@@ -266,7 +267,9 @@ def expression_integrand(
     Point values come from the tree compiled once by
     :func:`~msquad.expressions.compile_expression`, derivatives of all
     orders from its jet compiled by :func:`compile_jet` on the first
-    derivative asked for (rules that take none never pay for it);
+    derivative asked for (rules that take none never pay for it), and the
+    pair loop of the composite rules by
+    :func:`~msquad.expressions.compile_pair_terms` on the first of them.
     ``df_text``, when given, is compiled too and overrides order 1 only
     (orders 2..6 still come from the jets of ``text``).  ``text`` is
     parsed before ``df_text``.
@@ -283,4 +286,11 @@ def expression_integrand(
             jet = compile_jet(expr)
         return jet(x)[order] * _FACTORIALS[order]
 
-    return Integrand(compile_expression(expr), provider, max_order=ORDER, name=name or text)
+    f = Integrand(compile_expression(expr), provider, max_order=ORDER, name=name or text)
+
+    def pair_terms(*args):  # compiles on the first call, then is replaced
+        f._pair_terms = compile_pair_terms(expr)
+        return f._pair_terms(*args)
+
+    f._pair_terms = pair_terms
+    return f

@@ -5,7 +5,9 @@ midpoint rule, Simpson's rule, and the endpoint-corrected Simpson rule
 with weights 7/30, 16/30, 7/30 (exact for polynomials of degree 5).
 Composite forms run over a :class:`~msquad.integrand.UniformGrid`; the
 derivative corrections telescope, so only the two global endpoint
-derivatives are ever evaluated.
+derivatives are ever evaluated.  An expression integrand sums its pairs in
+one traced loop with its point values inlined; any error in it is replayed
+through the checked streaming loop that every callable integrand runs.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import DerivativeUnavailableError, EvaluationError
 from .integrand import Integrand, Interval, UniformGrid
@@ -50,12 +51,14 @@ class QuadResult:
     leading_error_estimate: float | None = None
 
 
-def _simpson_pair(fa: float, fm: float, fb: float, h: float) -> float:
-    return (h / 3.0) * (fa + 4.0 * fm + fb)
+# The term of one pair of subintervals is (h/d) * (we*fa + wm*fm + we*fb),
+# by (divisor d, end weight we, mid weight wm); a weight of 1.0 multiplies
+# exactly, so Simpson's is bitwise (h/3) * (fa + 4 fm + fb).
+_PAIRS = {Rule.SIMPSON: (3.0, 1.0, 4.0), Rule.MODIFIED_SIMPSON: (15.0, 7.0, 16.0)}
 
 
-def _modified_pair(fa: float, fm: float, fb: float, h: float) -> float:
-    return (h / 15.0) * (7.0 * fa + 16.0 * fm + 7.0 * fb)
+def _pair(fa: float, fm: float, fb: float, h: float, d: float, we: float, wm: float) -> float:
+    return (h / d) * (we * fa + wm * fm + we * fb)
 
 
 def _finite(value: float, what: str) -> float:
@@ -87,7 +90,8 @@ def corrected_midpoint_panel(f: Integrand, iv: Interval) -> float:
 def simpson_panel(f: Integrand, iv: Interval) -> float:
     """Simpson's rule ``(b-a)/6 * [f(a) + 4 f(m) + f(b)]``."""
     h = 0.5 * iv.width
-    return _finite(_simpson_pair(f(iv.a), f(iv.midpoint), f(iv.b), h), "simpson rule value")
+    value = _pair(f(iv.a), f(iv.midpoint), f(iv.b), h, *_PAIRS[Rule.SIMPSON])
+    return _finite(value, "simpson rule value")
 
 
 def modified_simpson_panel(f: Integrand, iv: Interval) -> float:
@@ -96,28 +100,37 @@ def modified_simpson_panel(f: Integrand, iv: Interval) -> float:
     ``(b-a)/30 * [7 f(a) + 16 f(m) + 7 f(b)] - (b-a)^2/60 * [f'(b) - f'(a)]``
     """
     h = 0.5 * iv.width
-    weighted = _modified_pair(f(iv.a), f(iv.midpoint), f(iv.b), h)
+    weighted = _pair(f(iv.a), f(iv.midpoint), f(iv.b), h, *_PAIRS[Rule.MODIFIED_SIMPSON])
     correction = (h * h / 15.0) * (f.derivative(1, iv.b) - f.derivative(1, iv.a))
     return _finite(weighted - correction, "msimpson rule value")
 
 
-def _pair_sum(
-    f: Integrand, grid: UniformGrid, pair: Callable[[float, float, float, float], float]
-) -> float:
-    """Correctly rounded sum of ``pair`` over the grid's pairs of subintervals.
+def _pair_sum(f: Integrand, grid: UniformGrid, rule: Rule) -> float:
+    """Correctly rounded sum of the rule's pair terms over the grid.
 
     Nodes stream from :meth:`UniformGrid.nodes` in increasing order and
     each pair's right-hand value is the next pair's left-hand value, so
-    memory does not grow with the pair count.  Returns NaN when the sum
-    overflows, which :func:`_finite` reports.
+    memory does not grow with the pair count.  An expression integrand's
+    traced pair loop checks no point value: if it raises, or its sum is not
+    finite (as any non-finite point value makes it), the checked stream of
+    ``f(x)`` replays the sum and alone decides the error.  Returns NaN when
+    the sum overflows, which :func:`_finite` reports.
     """
     h = grid.h
+    d, we, wm = _PAIRS[rule]
+    if f._pair_terms is not None:
+        try:
+            total = math.fsum(f._pair_terms(grid.nodes(), h / d, we, wm))
+        except Exception:  # the replay raises it as the checked path does
+            total = math.nan
+        if math.isfinite(total):
+            return total
     values = map(f, grid.nodes())
 
     def terms():
         fa = next(values)
         for fm, fb in zip(values, values):
-            yield pair(fa, fm, fb, h)
+            yield _pair(fa, fm, fb, h, d, we, wm)
             fa = fb
 
     try:
@@ -129,7 +142,7 @@ def _pair_sum(
 def composite_simpson(f: Integrand, grid: UniformGrid) -> QuadResult:
     """Composite Simpson rule over the grid's pairs of subintervals."""
     return QuadResult(
-        value=_finite(_pair_sum(f, grid, _simpson_pair), "simpson rule value"),
+        value=_finite(_pair_sum(f, grid, Rule.SIMPSON), "simpson rule value"),
         rule_id=Rule.SIMPSON,
         panels=grid.n_pairs,
         leading_error_estimate=None,
@@ -144,7 +157,7 @@ def composite_modified_simpson(f: Integrand, grid: UniformGrid) -> QuadResult:
     count.  With a single pair this reproduces
     :func:`modified_simpson_panel` bitwise.
     """
-    total = _pair_sum(f, grid, _modified_pair)
+    total = _pair_sum(f, grid, Rule.MODIFIED_SIMPSON)
     h = grid.h
     iv = grid.interval
     correction = (h * h / 15.0) * (f.derivative(1, iv.b) - f.derivative(1, iv.a))

@@ -17,7 +17,7 @@ from msquad.bounds import (
     simpson_classic_bound,
     unit_bounds,
 )
-from msquad.errors import InvalidRangeError, SlopeInconsistencyError
+from msquad.errors import EvaluationError, InvalidRangeError, SlopeInconsistencyError
 from msquad.integrand import Integrand, Interval, UniformGrid
 from msquad.kernels import kernel_abs_integral, scaled_constants
 from msquad.reference import reference_integral
@@ -190,6 +190,22 @@ def test_midpoint_bounds_comparison():
 def test_simpson_classic_bound_values():
     assert simpson_classic_bound(1.0, 1.0, 2.0) == pytest.approx(1.0 / 90.0, rel=1e-15)
     assert simpson_classic_bound(0.0, 1.0, 2.0) == 0.0
+
+
+def test_overflowing_power_is_an_evaluation_error():
+    # float ** int raises OverflowError where a product would give inf
+    h = 5e59
+    rng, slope = DerivativeRange(5, 0.0, 0.0), SecantSlope(4, 0.0)
+    for bound in (lambda: panel_bounds(5, rng, slope, h),
+                  lambda: composite_bounds(5, rng, slope, h, 2 * h),
+                  lambda: panel_bound_k6(0.0, h),
+                  lambda: composite_bound_k6(0.0, h, 2 * h),
+                  lambda: midpoint_bounds(0.0, 0.0, 1e103),
+                  lambda: midpoint_bounds(0.0, 0.0, 1e62),
+                  lambda: simpson_classic_bound(0.0, 1e78, 1.0)):
+        with pytest.raises(EvaluationError, match="^error bound overflows$"):
+            bound()
+    assert panel_bounds(4, DerivativeRange(4, 0.0, 0.0), SecantSlope(3, 0.0), h).best == 0.0
 
 
 @pytest.mark.parametrize("fn", CORPUS, ids=lambda c: c.name)

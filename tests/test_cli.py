@@ -285,16 +285,21 @@ def test_parse_errors_name_their_option():
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--f", "5e306", "-a", "0", "-b", "45", "-n", "3"),
-        ("--f", "1e308*x", "-a", "-1", "-b", "1", "-n", "3", "--rule", "simpson"),
-        ("--f", "1e308", "-a", "0", "-b", "1", "-n", "2"),
-        ("--rule", "midpoint", "--f", "1e308", "-a", "0", "-b", "10"),
-        ("--f", "1e308", "-a", "0", "-b", "10", "--reference"),
+        ("integrate", "--f", "5e306", "-a", "0", "-b", "45", "-n", "3"),
+        ("integrate", "--f", "1e308*x", "-a", "-1", "-b", "1", "-n", "3", "--rule", "simpson"),
+        ("integrate", "--f", "1e308", "-a", "0", "-b", "1", "-n", "2"),
+        ("integrate", "--rule", "midpoint", "--f", "1e308", "-a", "0", "-b", "10"),
+        ("integrate", "--f", "1e308", "-a", "0", "-b", "10", "--reference"),
+        ("bounds", "--f", "x", "-a", "0", "-b", "1e60", "-k", "5", "-n", "1"),
+        ("bounds", "--f", "x", "-a", "0", "-b", "1e60", "-k", "6", "-n", "1"),
+        ("bounds", "--f", "x", "-a", "0", "-b", "1e60", "-k", "5", "--lower", "0",
+         "--upper", "0"),
     ],
-    ids=["fsum-overflow", "fsum-inf-minus-inf", "nan", "midpoint-inf", "reference"],
+    ids=["fsum-overflow", "fsum-inf-minus-inf", "nan", "midpoint-inf", "reference",
+         "bound-power-k5", "bound-power-k6", "bound-power-user-range"],
 )
 def test_overflowing_values_are_one_line_evaluation_errors(argv):
-    code, out, err = invoke("integrate", *argv, "--format", "json")
+    code, out, err = invoke(*argv, "--format", "json")
     assert code == 2
     assert out == ""
     lines = err.splitlines()
@@ -305,6 +310,12 @@ def test_evaluation_errors_exit_two():
     code, _, err = invoke("integrate", "--f", "log(x)", "-a", "-1", "-b", "1")
     assert code == 2
     assert "log" in err
+
+
+def test_point_error_comes_before_derivative_error():
+    code, out, err = invoke("integrate", "--f", "1/(x-0.5)", "--df", "1/0",
+                            "-a", "0", "-b", "1", "-n", "1")
+    assert (code, out, err) == (2, "", "msquad: error: division by zero (at x = 0.5)\n")
 
 
 def test_bounds_payload_matches_shipped_schema():

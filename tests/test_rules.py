@@ -5,13 +5,17 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
+    EDGE_TREES,
+    VALUE_CORPUS,
     exact_modified_simpson_error,
     poly_integral,
     poly_integrand,
 )
 from msquad.errors import DerivativeUnavailableError, EvaluationError
+from msquad.expressions import compile_expression, parse, to_string
 from msquad.integrand import Integrand, Interval, UniformGrid
 from msquad.jets import expression_integrand
 from msquad.rules import (
@@ -252,6 +256,32 @@ def test_derivative_telescoping():
         assert sorted(first_order_calls) == [-1.0, 2.0]
 
 
+def test_derivative_telescoping_on_the_fused_path():
+    f = expression_integrand("exp(-x^2)*sin(3*x)+1/(1+x^2)")
+    calls: dict[int, list[float]] = {}
+    derivative = f.derivative
+
+    def counted(order: int, x: float) -> float:
+        calls.setdefault(order, []).append(x)
+        return derivative(order, x)
+
+    f.derivative = counted
+    iv = Interval(-1.0, 2.0)
+    for n in (1, 2, 17, 64, 100_000):
+        calls.clear()
+        composite_modified_simpson(f, UniformGrid(iv, n))
+        assert sorted(calls[1]) == [-1.0, 2.0]
+        assert len(calls[5]) == 2
+        assert sorted(calls) == [1, 5]
+
+
+def test_point_error_comes_before_derivative_error():
+    f = expression_integrand("1/(x-0.5)", df_text="1/0")
+    with pytest.raises(EvaluationError) as info:
+        composite_modified_simpson(f, UniformGrid(UNIT, 1))
+    assert (str(info.value), info.value.abscissa) == ("division by zero (at x = 0.5)", 0.5)
+
+
 def test_determinism_and_thread_safety():
     f = expression_integrand("exp(-x^2)")
     grid = UniformGrid(UNIT, 32)
@@ -293,6 +323,19 @@ def test_composite_memory_does_not_grow_with_pair_count():
     assert peak < 1 << 20
 
 
+def test_fused_composite_memory_does_not_grow_with_pair_count():
+    f = expression_integrand("exp(-x^2)")
+    grid = UniformGrid(UNIT, 200_000)
+    tracemalloc.start()
+    try:
+        value = composite_modified_simpson(f, grid).value
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(0.5 * math.sqrt(math.pi) * math.erf(1.0), rel=1e-13)
+    assert peak < 1 << 20
+
+
 BIG = Integrand.from_callables(lambda x: 1e308, *[lambda x: 0.0] * 6)
 
 
@@ -307,3 +350,59 @@ BIG = Integrand.from_callables(lambda x: 1e308, *[lambda x: 0.0] * 6)
 def test_overflowing_rule_value_is_an_evaluation_error(apply):
     with pytest.raises(EvaluationError, match="rule value overflows"):
         apply(BIG, Interval(0.0, 10.0))
+
+
+@pytest.mark.parametrize("rule", [composite_simpson, composite_modified_simpson])
+def test_overflowing_fused_composite_is_an_evaluation_error(rule):
+    # the traced loop's sum is not finite, so the checked replay reports it
+    with pytest.raises(EvaluationError, match="rule value overflows"):
+        rule(expression_integrand("1e308"), UniformGrid(Interval(0.0, 10.0), 3))
+
+
+# -- the fused pair loop against the checked stream ----------------------------
+
+
+def _fused_and_streaming(text: str) -> tuple[Integrand, Integrand]:
+    """The expression integrand of ``text``, which runs the traced pair loop,
+    and one that streams its compiled point values, with the same derivatives."""
+    fused = expression_integrand(text)
+    streaming = Integrand(compile_expression(parse(text)),
+                          lambda order, x: fused.derivative(order, x), max_order=6)
+    assert fused._pair_terms is not None and streaming._pair_terms is None
+    return fused, streaming
+
+
+def _composite_outcome(rule, f: Integrand, grid: UniformGrid):
+    try:
+        r = rule(f, grid)
+    except Exception as exc:  # any difference must show
+        return type(exc), str(exc), repr(getattr(exc, "abscissa", None))
+    estimate = r.leading_error_estimate
+    return r.value.hex(), None if estimate is None else estimate.hex()
+
+
+_LIMITS = st.one_of(st.floats(-4.0, 4.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(EDGE_TREES, _LIMITS, _LIMITS, st.integers(1, 200),
+       st.sampled_from([composite_simpson, composite_modified_simpson]))
+def test_fused_pair_loop_matches_streaming(tree, a, b, n, rule):
+    assume(a < b and math.isfinite(b - a))
+    # Num(inf) prints as "inf", which reparses as a name; 1e999 is its literal
+    fused, streaming = _fused_and_streaming(to_string(tree).replace("inf", "1e999"))
+    grid = UniformGrid(Interval(a, b), n)
+    assert _composite_outcome(rule, fused, grid) == _composite_outcome(rule, streaming, grid)
+
+
+@pytest.mark.parametrize("n", [997, 4096, 33_333])
+@pytest.mark.parametrize("text", VALUE_CORPUS[:3])
+def test_fused_pair_loop_matches_streaming_on_corpus(text, n):
+    fused, streaming = _fused_and_streaming(text)
+    points = []
+    fn = fused._fn
+    fused._fn = lambda x: points.append(x) or fn(x)
+    grid = UniformGrid(Interval(-1.0, 2.0), n)
+    for rule in (composite_simpson, composite_modified_simpson):
+        assert _composite_outcome(rule, fused, grid) == _composite_outcome(rule, streaming, grid)
+    assert points == []  # the traced loop gave both sums; nothing was replayed
