@@ -2,6 +2,7 @@ import io
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from helpers import CORPUS, poly_integrand, ulp_distance
@@ -10,8 +11,12 @@ from msquad.errors import EvaluationError, ReferenceConvergenceError
 from msquad.integrand import Integrand, Interval
 from msquad.jets import expression_integrand
 from msquad.reference import (
+    _WG,
+    _WGK,
+    _XGK,
     ConvergenceRow,
     _fit_order,
+    _kronrod_segment,
     compare_rules,
     convergence_study,
     reference_integral,
@@ -89,6 +94,76 @@ def test_needle_forces_subdivision():
     truth = (math.atan((1 - 0.31) / 1e-2) + math.atan(0.31 / 1e-2)) / 1e-2
     assert res.subdivisions > 4
     assert abs(res.value - truth) <= 1e-9
+
+
+def _monomial_residual(nodes, degree: int) -> Fraction:
+    """Exact rule sum of x^degree over +-nodes on [-1, 1], minus the integral."""
+    total = Fraction(0)
+    for x, w in nodes:
+        x, w = Fraction(x), Fraction(w)
+        total += w * (x**degree + (-x) ** degree) if x else w * x**degree
+    return total - (Fraction(2, degree + 1) if degree % 2 == 0 else 0)
+
+
+# One G7/K15 segment per case, and the clause of dqk15 that sets its error:
+# the 50*eps*resabs floor, resasc * (200*err/resasc)^1.5, or resasc itself.
+_DQK15_CASES = [
+    ("exp-sym", math.exp, -1.0, 1.0, "floor"),
+    ("exp-unit", math.exp, 0.0, 1.0, "floor"),
+    ("exp8-offset", lambda x: math.exp(8.0 * x), 0.3, 1.7, "power"),
+    ("gauss-wide", lambda x: math.exp(-x * x), 0.0, 6.0, "power"),
+    ("runge", lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0, "resasc"),
+    ("peak-wide", lambda x: 1.0 / (1e-2 + (x - 1.1) ** 2), 0.0, 3.0, "resasc"),
+    ("sin30", lambda x: math.sin(30.0 * x), 0.0, 1.0, "resasc"),
+    ("x18", lambda x: x**18, -1.0, 1.0, "resasc"),
+]
+
+
+def test_kronrod_segment_matches_dqk15():
+    """Node and weight tables by exactness on monomials, then each case
+    against QUADPACK's dqk15 recomputed in 50-digit mpmath from the same
+    15 samples.  The error is compared to 1e-8 because resk - resg cancels."""
+    kronrod = list(zip(_XGK, _WGK))
+    gauss = [(_XGK[i], w) for i, w in zip((1, 3, 5, 7), _WG)]
+    for d in range(23):
+        assert abs(_monomial_residual(kronrod, d)) < 1e-15, d
+    for d in range(14):
+        assert abs(_monomial_residual(gauss, d)) < 1e-15, d
+    assert abs(_monomial_residual(kronrod, 24)) > 1e-9
+    assert abs(_monomial_residual(gauss, 14)) > 1e-4
+
+    for name, fn, lo, hi, branch in _DQK15_CASES:
+        samples = []
+        f = Integrand(lambda x: samples.append((x, fn(x))) or fn(x))
+        value, err = _kronrod_segment(f, lo, hi)
+        assert len(samples) == 15, name
+        with mpmath.workdps(50):
+            mpf = mpmath.mpf
+            scale = mpf(0.5 * (hi - lo))
+            centre = mpf(lo + 0.5 * (hi - lo))
+            fs = []
+            for x, fx in samples:  # match each abscissa to its node
+                t = abs((mpf(x) - centre) / scale)
+                i = min(range(8), key=lambda j: abs(t - _XGK[j]))
+                assert abs(t - _XGK[i]) < 1e-14, name
+                fs.append((i, mpf(fx)))
+            assert sorted(i for i, _ in fs) == sorted([*range(7)] * 2 + [7]), name
+            resk = sum(mpf(_WGK[i]) * fx for i, fx in fs)
+            resg = sum(mpf(_WG[i // 2]) * fx for i, fx in fs if i % 2)
+            resabs = sum(mpf(_WGK[i]) * abs(fx) for i, fx in fs) * abs(scale)
+            resasc = sum(mpf(_WGK[i]) * abs(fx - resk / 2) for i, fx in fs) * abs(scale)
+            ratio = 200 * abs(resk - resg) * abs(scale) / resasc
+            want = resasc * min(1, ratio**1.5)
+            floor = 50 * mpf(2) ** -52 * resabs
+            taken = "floor" if floor > want else "power" if ratio < 1 else "resasc"
+            assert taken == branch, name
+            assert abs(value - resk * scale) <= 1e-15 * resabs, name
+            assert abs(err - max(want, floor)) <= 1e-8 * max(want, floor), name
+            if branch == "floor":  # not a near tie with the difference estimate
+                assert want < 1e-3 * floor, name
+            if name == "x18":  # K15 is exact here, G7 is not
+                assert abs(value - 2.0 / 19.0) <= 1e-15
+                assert abs(resk - resg) > 1e-3
 
 
 # -- convergence studies ---------------------------------------------------------
