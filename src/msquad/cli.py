@@ -26,14 +26,7 @@ from .bounds import (
     estimate_derivative_range,
     secant_slope,
 )
-from .errors import (
-    EvaluationError,
-    DerivativeUnavailableError,
-    InvalidRangeError,
-    ParseError,
-    ReferenceConvergenceError,
-    SlopeInconsistencyError,
-)
+from .errors import InvalidRangeError, MsquadError, ParseError
 from .integrand import Integrand, Interval, UniformGrid
 from .jets import expression_integrand
 from .kernels import KERNEL_ORDERS, kernel_eval
@@ -119,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", parents=[expr, limits, fmt],
                        help="grid-refinement study for one composite rule")
-    p.add_argument("--rule", choices=[Rule.SIMPSON.value, Rule.MODIFIED_SIMPSON.value],
+    p.add_argument("--rule", choices=[r.value for r in COMPOSITE_RULES],
                    default=Rule.MODIFIED_SIMPSON.value)
     p.add_argument("--n-list", default="2,4,8,16,32,64",
                    help="comma-separated pair counts, strictly increasing")
@@ -155,8 +148,7 @@ def _emit_record(payload: dict, fmt: str, out: TextIO) -> None:
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True), file=out)
     elif fmt == "csv":
-        print(",".join(payload.keys()), file=out)
-        print(",".join(_cell(v) for v in payload.values()), file=out)
+        _emit_grid(list(payload), [list(payload.values())], fmt, out)
     else:
         width = max(len(k) for k in payload)
         for key, value in payload.items():
@@ -431,12 +423,7 @@ def run(
     except (_UsageError, InvalidRangeError) as exc:
         print(f"msquad: error: {exc}", file=err)
         return _EXIT_USAGE
-    except (
-        EvaluationError,
-        DerivativeUnavailableError,
-        ReferenceConvergenceError,
-        SlopeInconsistencyError,
-    ) as exc:
+    except MsquadError as exc:
         print(f"msquad: error: {exc}", file=err)
         return _EXIT_EVAL
 

@@ -1,14 +1,14 @@
 """Forward Taylor-mode differentiation of expression trees.
 
-A :class:`TaylorJet` holds truncated Taylor coefficients
-``c_j = f^(j)(x0) / j!`` for j = 0..6.  One propagation pass through an
-expression tree yields every derivative order the bounds machinery needs
-(the corrected rules use order 1, the leading-error estimate order 5 and
-the bound families orders 2..6).  The pass and the recurrence of each
-operation are written once, against the scalar arithmetic of
-:mod:`msquad.expressions`: on ``Binary64`` they are :func:`derivatives`,
-the reference, and on ``Tracer`` they write the straight-line function
-that :func:`compile_jet` returns.
+A jet holds truncated Taylor coefficients ``c_j = f^(j)(x0) / j!`` for
+j = 0..6.  One propagation pass through an expression tree yields every
+derivative order the bounds machinery needs (the corrected rules use order
+1, the leading-error estimate order 5 and the bound families orders 2..6).
+Jet arithmetic exists only in that pass: the walker and the recurrence of
+each operation are written once, against the scalar arithmetic of
+:mod:`msquad.expressions`.  On ``Binary64`` they are :func:`derivatives`,
+the reference, and on ``Tracer`` they write the straight-line function that
+:func:`compile_jet` returns.  A :class:`TaylorJet` is just a result.
 """
 
 from __future__ import annotations
@@ -45,11 +45,11 @@ _FACTORIALS = tuple(math.factorial(j) for j in range(_N))
 _ZEROS = (0.0,) * ORDER
 _OVERFLOW = "overflow during derivative propagation"
 _ZERO_SERIES = "jet division by a series with zero value"
-_FLOATS = Binary64(None)  # for TaylorJet arithmetic, which checks no domain
 
 
 class TaylorJet:
-    """Truncated Taylor series; all arithmetic is exact truncation."""
+    """The jet :func:`derivatives` returns; it is a result and does no
+    arithmetic (that is the walker's, in the recurrences below)."""
 
     __slots__ = ("coeffs",)
 
@@ -58,14 +58,6 @@ class TaylorJet:
         if len(cs) != _N:
             raise ValueError(f"jet needs exactly {_N} coefficients, got {len(cs)}")
         self.coeffs = cs
-
-    @classmethod
-    def constant(cls, value: float) -> "TaylorJet":
-        return cls((float(value),) + (0.0,) * ORDER)
-
-    @classmethod
-    def variable(cls, x0: float) -> "TaylorJet":
-        return cls((float(x0), 1.0) + (0.0,) * (ORDER - 1))
 
     @property
     def value(self) -> float:
@@ -77,30 +69,8 @@ class TaylorJet:
             raise ValueError(f"jet carries orders 0..{ORDER}, got {order}")
         return self.coeffs[order] * _FACTORIALS[order]
 
-    def is_constant(self) -> bool:
-        return all(c == 0.0 for c in self.coeffs[1:])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TaylorJet({self.coeffs!r})"
-
-    def __add__(self, other: "TaylorJet") -> "TaylorJet":
-        a, b = self.coeffs, other.coeffs
-        return TaylorJet(tuple(a[j] + b[j] for j in range(_N)))
-
-    def __sub__(self, other: "TaylorJet") -> "TaylorJet":
-        a, b = self.coeffs, other.coeffs
-        return TaylorJet(tuple(a[j] - b[j] for j in range(_N)))
-
-    def __neg__(self) -> "TaylorJet":
-        return TaylorJet(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other: "TaylorJet") -> "TaylorJet":
-        return TaylorJet(_mul(_FLOATS, self.coeffs, other.coeffs))
-
-    def __truediv__(self, other: "TaylorJet") -> "TaylorJet":
-        if other.coeffs[0] == 0.0:
-            raise ZeroDivisionError(_ZERO_SERIES)
-        return TaylorJet(_div(_FLOATS, self.coeffs, other.coeffs))
 
 
 # -- the recurrences --------------------------------------------------------
@@ -245,7 +215,7 @@ def _jet(A, node: Expression, x):
 def derivatives(expr: Expression, x0: float) -> TaylorJet:
     """Propagate a full order-6 jet of ``expr`` through the tree at ``x0``."""
     try:
-        return TaylorJet(_jet(Binary64(x0), expr, TaylorJet.variable(x0).coeffs))
+        return TaylorJet(_jet(Binary64(x0), expr, (float(x0), 1.0) + _ZEROS[1:]))
     except OverflowError:
         raise EvaluationError(_OVERFLOW, x0) from None
 
@@ -259,9 +229,7 @@ def compile_jet(expr: Expression) -> Callable[[float], tuple[float, ...]]:
     return tracer.function(_jet(tracer, expr, x), _OVERFLOW, "<msquad jet>")
 
 
-def expression_integrand(
-    text: str, df_text: str | None = None, name: str | None = None
-) -> Integrand:
+def expression_integrand(text: str, df_text: str | None = None) -> Integrand:
     """Build an :class:`Integrand` from expression text.
 
     Point values come from the tree compiled once by
@@ -286,7 +254,7 @@ def expression_integrand(
             jet = compile_jet(expr)
         return jet(x)[order] * _FACTORIALS[order]
 
-    f = Integrand(compile_expression(expr), provider, max_order=ORDER, name=name or text)
+    f = Integrand(compile_expression(expr), provider, max_order=ORDER, name=text)
 
     def pair_terms(*args):  # compiles on the first call, then is replaced
         f._pair_terms = compile_pair_terms(expr)

@@ -18,8 +18,9 @@ from .errors import ReferenceConvergenceError
 from .integrand import Integrand, Interval, UniformGrid
 from .rules import COMPOSITE_RULES, Rule, _finite
 
-# 15-point Kronrod nodes on [-1, 1] (positive half) and their weights,
-# with the embedded 7-point Gauss weights on the even-indexed nodes.
+# 15-point Kronrod nodes on [-1, 1] (positive half, outermost first, the
+# centre last) and their weights; the embedded 7-point Gauss nodes are
+# every second one, _XGK[1::2], with the weights _WG.
 _XGK = (
     0.991455371120812639206854697526329,
     0.949107912342758524526189684047851,
@@ -65,34 +66,24 @@ def _kronrod_segment(f: Integrand, lo: float, hi: float) -> tuple[float, float]:
     """One G7/K15 application on [lo, hi]: returns (value, error estimate)."""
     scale = 0.5 * (hi - lo)
     centre = lo + scale
-    fs: list[float] = []
-    for i, x in enumerate(_XGK):
-        if i == 7:
-            fs.append(f(centre))
-        else:
-            fs.append(f(centre - scale * x))
-            fs.append(f(centre + scale * x))
-    # fs layout: pairs (below, above) for i=0..6, then the centre point
-    if fs.count(fs[0]) == len(fs):
+    # (below, above) at each node but the centre, outermost first
+    pairs = [(f(centre - scale * x), f(centre + scale * x)) for x in _XGK[:7]]
+    fc = f(centre)
+    if pairs.count((fc, fc)) == 7:
         # flat samples: the embedded pair is exact, difference estimate is 0
-        return _finite(fs[0] * (hi - lo), "reference value"), 0.0
+        return _finite(pairs[0][0] * (hi - lo), "reference value"), 0.0
 
-    resk = math.fsum(
-        [_WGK[i] * (fs[2 * i] + fs[2 * i + 1]) for i in range(7)] + [_WGK[7] * fs[14]]
-    )
-    resg = math.fsum(
-        [_WG[i] * (fs[4 * i + 2] + fs[4 * i + 3]) for i in range(3)] + [_WG[3] * fs[14]]
-    )
+    resk = math.fsum([w * (a + b) for w, (a, b) in zip(_WGK, pairs)] + [_WGK[7] * fc])
+    resg = math.fsum([w * (a + b) for w, (a, b) in zip(_WG, pairs[1::2])] + [_WG[3] * fc])
     value = resk * scale
 
     reskh = 0.5 * resk
     resabs = math.fsum(
-        [_WGK[i] * (abs(fs[2 * i]) + abs(fs[2 * i + 1])) for i in range(7)]
-        + [_WGK[7] * abs(fs[14])]
+        [w * (abs(a) + abs(b)) for w, (a, b) in zip(_WGK, pairs)] + [_WGK[7] * abs(fc)]
     ) * abs(scale)
     resasc = math.fsum(
-        [_WGK[i] * (abs(fs[2 * i] - reskh) + abs(fs[2 * i + 1] - reskh)) for i in range(7)]
-        + [_WGK[7] * abs(fs[14] - reskh)]
+        [w * (abs(a - reskh) + abs(b - reskh)) for w, (a, b) in zip(_WGK, pairs)]
+        + [_WGK[7] * abs(fc - reskh)]
     ) * abs(scale)
 
     err = abs(resk - resg) * abs(scale)

@@ -40,9 +40,9 @@ class Rule(enum.Enum):
 class QuadResult:
     """Outcome of a composite rule application.
 
-    ``leading_error_estimate`` is filled only when the integrand supplies
-    derivative order 5 and the estimate does not overflow (corrected
-    Simpson rule only).
+    ``leading_error_estimate`` (corrected Simpson rule only) is filled when
+    the integrand supplies a finite f^(5) at both endpoints and the estimate
+    does not overflow; otherwise it is None and the value stands.
     """
 
     value: float
@@ -161,9 +161,9 @@ def composite_modified_simpson(f: Integrand, grid: UniformGrid) -> QuadResult:
     h = grid.h
     iv = grid.interval
     correction = (h * h / 15.0) * (f.derivative(1, iv.b) - f.derivative(1, iv.a))
-    try:
+    try:  # None when f^(5) is missing or fails at an endpoint, or h^6 overflows
         estimate = leading_error_estimate(f, grid)
-    except (DerivativeUnavailableError, OverflowError):  # no f^(5), or h^6 overflows
+    except (DerivativeUnavailableError, EvaluationError, OverflowError):
         estimate = math.inf
     return QuadResult(
         value=_finite(total - correction, "msimpson rule value"),

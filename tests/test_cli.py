@@ -306,10 +306,59 @@ def test_overflowing_values_are_one_line_evaluation_errors(argv):
     assert len(lines) == 1 and lines[0].startswith("msquad: error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("--f", "x*sqrt(x)", "--df", "1.5*sqrt(x)", "-a", "0", "-b", "1", "-n", "1"),
+     ("--f", "exp(30*x)", "-a", "0", "-b", "23.3", "-n", "8")],
+    ids=["sqrt-jet-at-0", "f5-non-finite"],
+)
+def test_failing_fifth_derivative_leaves_the_estimate_unset(argv):
+    code, out, err = invoke("integrate", *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert record["leading_error_estimate"] is None
+    assert math.isfinite(record["value"])
+    _, out, _ = invoke("integrate", *argv)
+    assert "leading_error_estimate  n/a" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(("--f", "x^2.5", "--df", "2.5*x^1.5", "-a", "0", "-b", "1", "-n", "4"),
+      "non-integer power of a non-positive base 0.0 (at x = 0.0)"),
+     (("--f", "x*sqrt(x)", "-a", "0", "-b", "1", "-n", "1"),
+      "sqrt not differentiable at non-positive value 0.0 (at x = 0.0)")],
+    ids=["f-fails", "df-fails"],
+)
+def test_failing_value_or_first_derivative_still_aborts_msimpson(argv, message):
+    assert invoke("integrate", *argv) == (2, "", f"msquad: error: {message}\n")
+
+
+def test_converge_takes_only_composite_rules():
+    code, out, err = invoke("converge", "--rule", "midpoint", "--f", "x", "-a", "0", "-b", "1")
+    assert (code, out) == (1, "")
+    assert err == ("msquad: error: argument --rule: invalid choice: 'midpoint' "
+                   "(choose from 'simpson', 'msimpson')\n")
+
+
 def test_evaluation_errors_exit_two():
     code, _, err = invoke("integrate", "--f", "log(x)", "-a", "-1", "-b", "1")
     assert code == 2
     assert "log" in err
+
+
+def test_every_msquad_error_exits_two(monkeypatch):
+    import msquad.cli
+    from msquad.errors import MsquadError
+
+    class NewError(MsquadError):
+        pass
+
+    def command(args, out):
+        raise NewError("a new kind of failure")
+
+    monkeypatch.setitem(msquad.cli._COMMANDS, "kernel", command)
+    assert invoke("kernel") == (2, "", "msquad: error: a new kind of failure\n")
 
 
 def test_point_error_comes_before_derivative_error():

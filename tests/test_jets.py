@@ -168,19 +168,11 @@ def test_real_power_via_exp_log():
     assert jet.derivative(2) == pytest.approx(0.75 / 2.0, rel=1e-13)
 
 
-def test_taylor_jet_arithmetic_roundtrip():
-    a = derivatives(parse("exp(x)*sin(x)+2"), 0.4)
-    b = derivatives(parse("1+x^2"), 0.4)
-    roundtrip = (a * b) / b
-    for k in range(7):
-        assert roundtrip.coeffs[k] == pytest.approx(a.coeffs[k], rel=1e-13, abs=1e-16)
-
-
 def test_jet_constructor_validation():
     with pytest.raises(ValueError):
         TaylorJet((1.0, 2.0))
     with pytest.raises(ValueError):
-        TaylorJet.constant(1.0).derivative(7)
+        TaylorJet((1.0,) + (0.0,) * 6).derivative(7)
 
 
 def test_expression_integrand_derivative_orders():

@@ -169,6 +169,19 @@ def test_leading_error_estimate_needs_order_five():
     assert res.leading_error_estimate is None
 
 
+def test_failing_fifth_derivative_leaves_the_estimate_unset():
+    # the jet of sqrt fails at 0, where x*sqrt(x) and the f' override are finite
+    f = expression_integrand("x*sqrt(x)", df_text="1.5*sqrt(x)")
+    with pytest.raises(EvaluationError, match="sqrt not differentiable"):
+        leading_error_estimate(f, UniformGrid(UNIT, 1))
+    res = composite_modified_simpson(f, UniformGrid(UNIT, 1))
+    assert res.leading_error_estimate is None
+    assert res.value == modified_simpson_panel(f, UNIT)
+    # without the override f' comes from the same jet, and its failure aborts
+    with pytest.raises(EvaluationError, match="sqrt not differentiable"):
+        composite_modified_simpson(expression_integrand("x*sqrt(x)"), UniformGrid(UNIT, 1))
+
+
 # -- invariants ----------------------------------------------------------------
 
 
