@@ -92,7 +92,10 @@ class Integrand:
     :class:`EvaluationError` carrying the offending abscissa.
     """
 
-    _pair_terms = None  # an expression integrand's traced composite pair loop
+    # An expression integrand's traced composite pair loop.  Its presence
+    # also marks ``_fn`` as compiled code returning floats, which the
+    # reference oracle samples unchecked and replays through ``f(x)``.
+    _pair_terms = None
 
     def __init__(
         self,

@@ -49,6 +49,8 @@ _WG = (
 )
 
 _EPS = 2.220446049250313e-16
+_MAX = 1.7976931348623157e308  # the largest float
+_UNIT = 1 << 1074  # 2**-1074, the smallest subnormal, is 1 / _UNIT
 _MIN_TOL = 1e-14
 _DEFAULT_SEGMENT_LIMIT = 2048
 ROUNDING_FLOOR = 1e-13  # composite errors below this sit on the fp floor
@@ -66,9 +68,21 @@ def _kronrod_segment(f: Integrand, lo: float, hi: float) -> tuple[float, float]:
     """One G7/K15 application on [lo, hi]: returns (value, error estimate)."""
     scale = 0.5 * (hi - lo)
     centre = lo + scale
-    # (below, above) at each node but the centre, outermost first
-    pairs = [(f(centre - scale * x), f(centre + scale * x)) for x in _XGK[:7]]
-    fc = f(centre)
+    # (below, above) at each node but the centre, outermost first.  An
+    # expression integrand samples its compiled function unchecked; if that
+    # raises, or any of the 15 values is not finite, the checked f replays
+    # the samples in the same order and alone decides the error.
+    pairs = None
+    if f._pair_terms is not None:
+        fn = f._fn
+        try:
+            pairs = [(fn(centre - scale * x), fn(centre + scale * x)) for x in _XGK[:7]]
+            fc = fn(centre)
+        except Exception:
+            pairs = None
+    if pairs is None or not math.isfinite(sum(map(sum, pairs)) + fc):
+        pairs = [(f(centre - scale * x), f(centre + scale * x)) for x in _XGK[:7]]
+        fc = f(centre)
     if pairs.count((fc, fc)) == 7:
         # flat samples: the embedded pair is exact, difference estimate is 0
         return _finite(pairs[0][0] * (hi - lo), "reference value"), 0.0
@@ -95,6 +109,12 @@ def _kronrod_segment(f: Integrand, lo: float, hi: float) -> tuple[float, float]:
     return _finite(value, "reference value"), _finite(err, "reference value")
 
 
+def _units(x: float) -> int:
+    """Finite ``x`` as a whole number of 2**-1074, exactly."""
+    n, d = x.as_integer_ratio()  # d is a power of two, at most 2**1074
+    return n << (1075 - d.bit_length())
+
+
 def reference_integral(
     f: Integrand,
     iv: Interval,
@@ -104,21 +124,29 @@ def reference_integral(
     """Adaptive reference integral with absolute tolerance ``tol``.
 
     Bisects the segment with the largest embedded error estimate until
-    the summed estimate drops to ``tol``.  ``subdivisions`` reports the
-    final segment count.  Raises :class:`ReferenceConvergenceError`
-    carrying the best value if the segment limit is hit first, and
-    :class:`EvaluationError` if the value overflows.
+    the summed estimate drops to ``tol``.  That sum is kept as an exact
+    running total and read correctly rounded, as :func:`math.fsum` gives
+    it, so a bisection step costs O(log S) with S segments on the heap.
+    ``subdivisions`` reports the final segment count.  Raises
+    :class:`ReferenceConvergenceError` carrying the best value if the
+    segment limit is hit first, and :class:`EvaluationError` if the value
+    overflows.
     """
     if not tol >= _MIN_TOL:  # a NaN tolerance fails here too
         raise ValueError(f"tolerance must be >= {_MIN_TOL}, got {tol}")
 
     try:
         value, err = _kronrod_segment(f, iv.a, iv.b)
-        # heap entries: (-error, insertion counter, lo, hi, value, error)
-        heap = [(-err, 0, iv.a, iv.b, value, err)]
+        # heap entries: (-error, insertion counter, lo, hi, value, error in
+        # units of 2**-1074); every finite float is a whole number of those
+        # units, so ``exact`` is the heap's error sum without rounding
+        exact = _units(err)
+        heap = [(-err, 0, iv.a, iv.b, value, exact)]
         counter = 1
         while True:
-            total_err = math.fsum(entry[5] for entry in heap)
+            total_err = exact / _UNIT  # correctly rounded; OverflowError past the max
+            if total_err == _MAX:  # where math.fsum may overflow before rounding
+                total_err = math.fsum(-entry[0] for entry in heap)
             if total_err <= tol:
                 break
             if len(heap) >= segment_limit:
@@ -128,14 +156,17 @@ def reference_integral(
                     best_value=math.fsum(entry[4] for entry in heap),
                     est_abs_error=total_err,
                 )
-            _, _, lo, hi, _, _ = heapq.heappop(heap)
+            _, _, lo, hi, _, popped = heapq.heappop(heap)
+            exact -= popped
             mid = lo + 0.5 * (hi - lo)
             for a, b in ((lo, mid), (mid, hi)):
                 v, e = _kronrod_segment(f, a, b)
-                heapq.heappush(heap, (-e, counter, a, b, v, e))
+                units = _units(e)
+                heapq.heappush(heap, (-e, counter, a, b, v, units))
+                exact += units
                 counter += 1
         value = math.fsum(entry[4] for entry in heap)
-    except (OverflowError, ValueError):  # math.fsum over overflowing samples
+    except (OverflowError, ValueError):  # an overflowing sum of values or errors
         value = math.nan
     _finite(value, "reference value")
     return ReferenceResult(value=value, est_abs_error=total_err, subdivisions=len(heap))

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from hypothesis import strategies as st
 
-from msquad.expressions import BinOp, Call, Const, Expression, Neg, Num, Var
+from msquad.expressions import BinOp, Call, Const, Expression, Neg, Num, Var, to_string
 from msquad.integrand import Integrand
 
 F = Fraction
@@ -371,6 +371,13 @@ EDGE_ABSCISSAE = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 710.0, -710.0, 1e-300, 1e300]),
     st.floats(allow_nan=False),
 )
+EDGE_LIMITS = st.one_of(st.floats(-4.0, 4.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def edge_text(tree: Expression) -> str:
+    """An edge tree as expression text.  Num(inf) prints as "inf", which
+    reparses as a name; 1e999 is its literal."""
+    return to_string(tree).replace("inf", "1e999")
 
 
 # -- corpora for the compiled code, and its golden digests ----------------------

@@ -1,16 +1,22 @@
 import io
 import math
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from helpers import CORPUS, poly_integrand, ulp_distance
+import msquad.reference
+from helpers import CORPUS, EDGE_LIMITS, EDGE_TREES, edge_text, poly_integrand, ulp_distance
 from msquad.cli import run
 from msquad.errors import EvaluationError, ReferenceConvergenceError
+from msquad.expressions import compile_expression, parse
 from msquad.integrand import Integrand, Interval
 from msquad.jets import expression_integrand
 from msquad.reference import (
+    _DEFAULT_SEGMENT_LIMIT,
     _WG,
     _WGK,
     _XGK,
@@ -164,6 +170,187 @@ def test_kronrod_segment_matches_dqk15():
             if name == "x18":  # K15 is exact here, G7 is not
                 assert abs(value - 2.0 / 19.0) <= 1e-15
                 assert abs(resk - resg) > 1e-3
+
+
+# -- the running error total ---------------------------------------------------
+
+ONE = Integrand(lambda x: 1.0)
+_MAX = 1.7976931348623157e308
+
+
+def _scripted_segments(monkeypatch, error):
+    """Replace the G7/K15 segment by one whose error estimate is
+    ``error(lo, hi)``; returns the record of every segment made."""
+    made = {}
+
+    def segment(f, lo, hi):
+        made[(lo, hi)] = e = error(lo, hi)
+        return 1.0, e
+
+    monkeypatch.setattr(msquad.reference, "_kronrod_segment", segment)
+    return made
+
+
+def _live_errors(made, lo=0.0, hi=1.0):
+    """Errors of the segments on the heap: the unbisected leaves."""
+    mid = lo + 0.5 * (hi - lo)
+    if (lo, mid) not in made:
+        return [made[(lo, hi)]]
+    return _live_errors(made, lo, mid) + _live_errors(made, mid, hi)
+
+
+def _total_after(limit, tol=1e-14):
+    """The oracle's summed error estimate when it stops at ``limit`` segments."""
+    try:
+        return reference_integral(ONE, UNIT, tol, segment_limit=limit).est_abs_error
+    except ReferenceConvergenceError as exc:
+        return exc.est_abs_error
+
+
+def _adversarial_error(seed):
+    def error(lo, hi):
+        rng = random.Random(f"{seed}:{lo!r}:{hi!r}")
+        kind = rng.randrange(5)
+        if kind == 0:
+            return 0.0
+        if kind == 1:  # subnormal
+            return rng.randrange(1, 2**52) * 5e-324
+        if kind == 2:  # large, so popped soon after
+            return rng.random() * 1e300
+        return rng.random() * 10.0 ** rng.randint(-300, 300)
+
+    return error
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_running_error_total_is_fsum_of_the_heap(monkeypatch, seed):
+    made = _scripted_segments(monkeypatch, _adversarial_error(seed))
+    for limit in range(1, 41):  # every step of one bisection run
+        made.clear()
+        total = _total_after(limit)
+        assert total.hex() == math.fsum(_live_errors(made)).hex(), limit
+
+
+@pytest.mark.parametrize(
+    "errors, total",
+    [
+        # 1e300 cancels back to the one subnormal beside it
+        ({(0.0, 1.0): 1e300, (0.0, 0.5): 1e300, (0.5, 1.0): 5e-324,
+          (0.0, 0.25): 0.0, (0.25, 0.5): 0.0}, 5e-324),
+        ({(0.0, 1.0): 1e300, (0.0, 0.5): 1e-300, (0.5, 1.0): 1e300,
+          (0.5, 0.75): 3e-300, (0.75, 1.0): 1e-310}, math.fsum([1e-300, 3e-300, 1e-310])),
+    ],
+    ids=["to-subnormal", "to-tiny-sum"],
+)
+def test_running_error_total_cancels_exactly(monkeypatch, errors, total):
+    _scripted_segments(monkeypatch, lambda lo, hi: errors[(lo, hi)])
+    assert reference_integral(ONE, UNIT, tol=1e-14).est_abs_error == total
+
+
+@pytest.mark.parametrize(
+    "errors",
+    [
+        {(0.0, 1.0): 1e308, (0.0, 0.5): 1e308, (0.5, 1.0): 1e308},
+        # the exact sum rounds down to the float maximum, but math.fsum
+        # overflows on it in an intermediate step
+        {(0.0, 1.0): _MAX, (0.0, 0.5): 2.0**969, (0.5, 1.0): _MAX,
+         (0.5, 0.75): _MAX, (0.75, 1.0): math.nextafter(2.0**969, 0.0)},
+    ],
+    ids=["past-the-max", "fsum-intermediate-overflow"],
+)
+def test_error_total_past_the_float_maximum_overflows(monkeypatch, errors):
+    _scripted_segments(monkeypatch, lambda lo, hi: errors[(lo, hi)])
+    with pytest.raises(EvaluationError, match="reference value overflows"):
+        reference_integral(ONE, UNIT, tol=1e-14)
+
+
+def test_oracle_sums_are_linear_in_segments(monkeypatch):
+    counts = {"items": 0, "segments": 0}
+
+    def fsum(items):
+        items = list(items)
+        counts["items"] += len(items)
+        return math.fsum(items)
+
+    def segment(*args, real=msquad.reference._kronrod_segment):
+        counts["segments"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(msquad.reference, "math", SimpleNamespace(**{**vars(math), "fsum": fsum}))
+    monkeypatch.setattr(msquad.reference, "_kronrod_segment", segment)
+    with pytest.raises(ReferenceConvergenceError, match="after 2048 segments"):
+        reference_integral(expression_integrand("exp(x)"), Interval(0.0, 3.0), tol=1e-13)
+    # a segment sums 53 products itself (K15, G7, |f| and |f - mean|); the
+    # bookkeeping adds O(1) per segment, where re-summing the heap added O(S)
+    assert counts["segments"] == 2 * 2048 - 1
+    assert counts["items"] < 64 * counts["segments"]
+
+
+# -- the unchecked sampler -------------------------------------------------------
+
+
+def _oracle_outcome(f, iv, tol, limit=_DEFAULT_SEGMENT_LIMIT):
+    try:
+        r = reference_integral(f, iv, tol, limit)
+    except ReferenceConvergenceError as exc:
+        return type(exc), str(exc), exc.best_value.hex(), exc.est_abs_error.hex()
+    except Exception as exc:  # any difference must show
+        return type(exc), str(exc), repr(getattr(exc, "abscissa", None))
+    return r.value.hex(), r.est_abs_error.hex(), r.subdivisions
+
+
+def _sampled_and_checked(text):
+    sampled = expression_integrand(text)
+    checked = Integrand(compile_expression(parse(text)))
+    assert sampled._pair_terms is not None and checked._pair_terms is None
+    return sampled, checked
+
+
+@settings(max_examples=300, deadline=None)
+@given(EDGE_TREES, EDGE_LIMITS, EDGE_LIMITS, st.floats(-13.9, -5.0), st.integers(1, 64))
+def test_unchecked_sampler_matches_checked_path(tree, a, b, log_tol, limit):
+    assume(a < b and math.isfinite(b - a))
+    sampled, checked = _sampled_and_checked(edge_text(tree))
+    iv, tol = Interval(a, b), 10.0**log_tol
+    assert _oracle_outcome(sampled, iv, tol, limit) == _oracle_outcome(checked, iv, tol, limit)
+
+
+@pytest.mark.parametrize(
+    "text, iv, message, abscissa",
+    [
+        # the compiled function raises at the centre, the last sample
+        ("1/(x-0.5)", UNIT, "division by zero", 0.5),
+        # only the centre, the last sample, is inf
+        ("1/x", Interval(-1e-300, 1.00000001e-300), "function value is non-finite",
+         -1e-300 + 0.5 * (1.00000001e-300 - -1e-300)),
+        # only the first sample, the outermost below the centre, is inf
+        ("1/x", Interval(0.0, 2.0**-1017), "function value is non-finite",
+         2.0**-1018 - 2.0**-1018 * _XGK[0]),
+    ],
+    ids=["raises-at-centre", "inf-at-centre", "inf-at-first-node"],
+)
+def test_unchecked_sampler_replays_a_failure(text, iv, message, abscissa):
+    sampled, checked = _sampled_and_checked(text)
+    got = _oracle_outcome(sampled, iv, 1e-10)
+    assert got == _oracle_outcome(checked, iv, 1e-10)
+    assert got == (EvaluationError, f"{message} (at x = {abscissa!r})", repr(abscissa))
+
+
+def test_unchecked_sampler_checks_nothing_on_finite_samples(monkeypatch):
+    sampled, checked = _sampled_and_checked("exp(-x^2)*sin(3*x)+1/(1+x^2)")
+    want = _oracle_outcome(checked, SYM, 1e-13)
+    calls = []
+    call = Integrand.__call__
+    monkeypatch.setattr(Integrand, "__call__", lambda f, x: calls.append(x) or call(f, x))
+    assert _oracle_outcome(sampled, SYM, 1e-13) == want
+    assert calls == []  # every segment came from the unchecked pass
+
+
+def test_callable_integrand_keeps_the_checked_path():
+    wordy = Integrand.from_callables(lambda x: "one")
+    with pytest.raises(EvaluationError, match="function value is not a number") as exc:
+        reference_integral(wordy, UNIT, tol=1e-10)
+    assert exc.value.abscissa == 0.5 - 0.5 * _XGK[0]  # the first sample
 
 
 # -- convergence studies ---------------------------------------------------------
