@@ -35,7 +35,7 @@ class DerivativeUnavailableError(MsquadError):
 
 
 class ParseError(MsquadError):
-    """Expression text could not be parsed; ``offset`` is the byte position.
+    """Expression text could not be parsed at ``offset``, a character index.
 
     ``text`` is the expression that failed, so a caller that parses more
     than one can tell which.

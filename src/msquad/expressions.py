@@ -13,8 +13,8 @@ Grammar (EBNF, also shipped in docs/grammar.ebnf):
 
 "^" is right-associative and binds tighter than unary minus, so
 ``-x^2`` means ``-(x^2)``.  Whitespace is insignificant; identifiers are
-case-sensitive.  Parse errors carry the byte offset of the offending
-token.
+case-sensitive.  Parse errors carry the character offset of the offending
+token.  Only ASCII is accepted, nested at most 100 levels deep.
 
 A tree's value comes from one walker, written against a small scalar
 arithmetic that has two implementations.  On ``Binary64`` (floats) it is
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -76,57 +77,40 @@ Expression = Union[Num, Var, Const, Neg, BinOp, Call]
 
 # -- tokenizer ---------------------------------------------------------------
 
-_SINGLE = {**dict.fromkeys("+-*/^", "op"), "(": "lparen", ")": "rparen"}
+# The token rules of docs/grammar.ebnf, in ASCII.  A number takes an exponent
+# only when digits follow its marker, so "2e-3" is one number and "2*e" is
+# not; whitespace is the ASCII that str.isspace accepts; any other character
+# is ``bad``.
+_TOKEN = re.compile(r"""
+    (?P<num> (?: [0-9]+ (?: \.[0-9]* )? | \.[0-9]+ ) (?: [eE][-+]?[0-9]+ )? )
+  | (?P<ident> [A-Za-z_][A-Za-z0-9_]* )
+  | (?P<punct> [-+*/^()] )
+  | (?P<space> [\t-\r\x1c-\x1f ]+ )
+  | (?P<end> \Z )
+  | (?P<bad> . )
+""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num", "ident", "op", "lparen", "rparen", "end"
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SINGLE:
-            tokens.append(_Token(_SINGLE[ch], ch, i))
-            i += 1
-        elif ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                while i < n and text[i].isdigit():
-                    i += 1
-            # exponent part only when it is unambiguously numeric
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j].isdigit():
-                    i = j
-                    while i < n and text[i].isdigit():
-                        i += 1
-            tokens.append(_Token("num", text[start:i], start))
-        elif ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("ident", text[start:i], start))
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i, text)
-    tokens.append(_Token("end", "", n))
+def _tokenize(text: str) -> list[re.Match]:
+    """The tokens of ``text``, each the match of its rule, the last ``end``."""
+    tokens = [tok for tok in _TOKEN.finditer(text) if tok.lastgroup != "space"]
+    for tok in tokens:
+        if tok.lastgroup == "bad":
+            raise ParseError(f"unexpected character {tok[0]!r}", tok.start(), text)
     return tokens
 
 
-# -- recursive-descent parser ------------------------------------------------
+# -- parser ------------------------------------------------------------------
+
+# How tightly each operator binds, for the parser and the printer alike.  The
+# parser reads the levels below unary minus as left-associative; "^" is
+# right-associative and takes a signed exponent (see parse_unary).
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_NEG_PRECEDENCE = 3
+# Each operator, call or pair of parentheses nests its operands one level
+# deeper.  A walk of a tree recurses one to three times per level and the
+# parser up to five, so 100 levels stay well inside the default limit.
+_MAX_DEPTH = 100
 
 
 class _Parser:
@@ -134,73 +118,81 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.open = 0  # levels open here, but for '+-*/' (nest counts those)
+        self.depth: dict[int, int] = {}  # id of a parsed subtree -> its depth
 
     @property
-    def current(self) -> _Token:
+    def current(self) -> re.Match:
         return self.tokens[self.i]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
+    def advance(self) -> re.Match:
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.current
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.pos, self.text)
-        return self.advance()
+    def expect(self, text: str, what: str) -> None:
+        if self.current[0] != text:
+            raise ParseError(f"expected {what}", self.current.start(), self.text)
+        self.advance()
 
-    def parse_expr(self) -> Expression:
-        node = self.parse_term()
-        while self.current.kind == "op" and self.current.text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_term())
+    def bound(self, tok: re.Match, depth: int) -> None:
+        if depth > _MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {_MAX_DEPTH} levels",
+                             tok.start(), self.text)
+
+    def nest(self, tok: re.Match, node: Expression, *kids: Expression) -> Expression:
+        """``node``, one level deeper than the deepest of ``kids``; ``tok`` opened it."""
+        depth = 1 + max(self.depth.get(id(kid), 0) for kid in kids)
+        self.bound(tok, depth)
+        self.depth[id(node)] = depth
         return node
 
-    def parse_term(self) -> Expression:
+    def parse_expr(self, level: int = 1) -> Expression:
+        """Binary operators from precedence ``level`` up to unary minus."""
         node = self.parse_unary()
-        while self.current.kind == "op" and self.current.text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_unary())
+        while level <= _PRECEDENCE.get((tok := self.current)[0], 0) < _NEG_PRECEDENCE:
+            self.advance()
+            right = self.parse_expr(_PRECEDENCE[tok[0]] + 1)
+            node = self.nest(tok, BinOp(tok[0], node, right), node, right)
         return node
 
     def parse_unary(self) -> Expression:
-        if self.current.kind == "op" and self.current.text == "-":
+        """unary = "-" , unary | atom , [ "^" , unary ] ;"""
+        tok = self.current
+        self.bound(tok, self.open)
+        self.open += 1
+        if tok[0] == "-":
             self.advance()
-            return Neg(self.parse_unary())
-        return self.parse_power()
-
-    def parse_power(self) -> Expression:
-        base = self.parse_atom()
-        if self.current.kind == "op" and self.current.text == "^":
-            self.advance()
-            # right-associative; the exponent may carry its own sign
-            return BinOp("^", base, self.parse_unary())
-        return base
+            arg = self.parse_unary()
+            node = self.nest(tok, Neg(arg), arg)
+        else:
+            node = self.parse_atom()
+            if (tok := self.current)[0] == "^":
+                self.advance()
+                expo = self.parse_unary()
+                node = self.nest(tok, BinOp("^", node, expo), node, expo)
+        self.open -= 1
+        return node
 
     def parse_atom(self) -> Expression:
-        tok = self.current
-        if tok.kind == "num":
-            self.advance()
-            return Num(float(tok.text))
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "x":
-                return Var()
-            if tok.text in CONSTANTS:
-                return Const(tok.text)
-            if tok.text in FUNCTIONS:
-                self.expect("lparen", f"'(' after function {tok.text!r}")
-                arg = self.parse_expr()
-                self.expect("rparen", "')'")
-                return Call(tok.text, arg)
-            raise ParseError(f"unknown identifier {tok.text!r}", tok.pos, self.text)
-        if tok.kind == "lparen":
-            self.advance()
+        tok = self.advance()
+        if tok.lastgroup == "num":
+            return Num(float(tok[0]))
+        if tok[0] == "x":
+            return Var()
+        if tok[0] in CONSTANTS:
+            return Const(tok[0])
+        if tok[0] in FUNCTIONS:
+            self.expect("(", f"'(' after function {tok[0]!r}")
+            arg = self.parse_expr()
+            self.expect(")", "')'")
+            return self.nest(tok, Call(tok[0], arg), arg)
+        if tok.lastgroup == "ident":
+            raise ParseError(f"unknown identifier {tok[0]!r}", tok.start(), self.text)
+        if tok[0] == "(":
             node = self.parse_expr()
-            self.expect("rparen", "')'")
-            return node
-        raise ParseError("expected an expression", tok.pos, self.text)
+            self.expect(")", "')'")
+            return self.nest(tok, node, node)  # the parentheses are a level
+        raise ParseError("expected an expression", tok.start(), self.text)
 
 
 def parse(text: str) -> Expression:
@@ -208,15 +200,12 @@ def parse(text: str) -> Expression:
     parser = _Parser(text)
     node = parser.parse_expr()
     tok = parser.current
-    if tok.kind != "end":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos, text)
+    if tok.lastgroup != "end":
+        raise ParseError(f"unexpected trailing input {tok[0]!r}", tok.start(), text)
     return node
 
 
 # -- printer -----------------------------------------------------------------
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-_NEG_PRECEDENCE = 3  # between '*' and '^'
 
 
 def _prec(node: Expression) -> int:
@@ -228,7 +217,8 @@ def _prec(node: Expression) -> int:
 
 
 def to_string(node: Expression) -> str:
-    """Render a tree back to text; reparsing yields an equal tree."""
+    """Render a tree back to text; reparsing it within the nesting bound
+    yields an equal tree."""
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):

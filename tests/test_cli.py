@@ -2,8 +2,10 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -280,6 +282,37 @@ def test_parse_errors_name_their_option():
     code, _, err = invoke("integrate", "--f", "exp(x)", "--df", "exp(", "-a", "0", "-b", "1")
     assert code == 1
     assert err.startswith("msquad: error: --df: ")
+
+
+def test_non_ascii_expression_is_a_one_line_usage_error():
+    assert invoke("integrate", "--f", "²", "-a", "0", "-b", "1") == (
+        1, "", "msquad: error: --f: unexpected character '²' (at offset 0)\n")
+
+
+@pytest.mark.parametrize("f, offset", [
+    ("(" * 200 + "x" + ")" * 200, 101),
+    ("+".join(["x"] * 985), 201),  # the tree is deep; the text is not
+], ids=["200-parentheses", "985-terms"])
+@pytest.mark.parametrize("rule", ["simpson", "msimpson"])
+def test_deep_expressions_are_one_line_usage_errors(f, offset, rule):
+    assert invoke("integrate", "--rule", rule, "--f", f, "-a", "0", "-b", "1", "-n", "2") == (
+        1, "", f"msquad: error: --f: expression nested deeper than 100 levels "
+               f"(at offset {offset})\n")
+
+
+_README_COMMANDS = [
+    shlex.split(line)[1:] for line in
+    (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    if line.startswith("msquad ")
+]
+
+
+@pytest.mark.parametrize("argv", _README_COMMANDS, ids=" ".join)
+def test_readme_examples_run(argv):
+    if ">" in argv:  # the shell's redirection
+        argv = argv[:argv.index(">")]
+    code, _, err = invoke(*argv)
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import EDGE_ABSCISSAE, EDGE_TREES, VALUE_CORPUS, VALUE_GRID, outcome
 from msquad.errors import EvaluationError, ParseError
@@ -12,11 +12,14 @@ from msquad.expressions import (
     Neg,
     Num,
     Var,
+    _MAX_DEPTH,
     compile_expression,
+    compile_pair_terms,
     evaluate,
     parse,
     to_string,
 )
+from msquad.jets import compile_jet, derivatives
 
 
 def test_parse_structure_of_gaussian():
@@ -51,6 +54,55 @@ def test_parse_error_cases():
         parse("1 2")
     with pytest.raises(ParseError):
         parse("3 @ 4")
+
+
+@pytest.mark.parametrize("text, char, offset", [
+    ("²", "²", 0), ("x+³", "³", 2), ("١", "١", 0), ("xé", "é", 1),
+])
+def test_non_ascii_is_an_unexpected_character(text, char, offset):
+    # str.isdigit and str.isalpha take these; the grammar's ASCII rules do not
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == f"unexpected character {char!r} (at offset {offset})"
+    assert (exc.value.offset, exc.value.text) == (offset, text)
+
+
+@settings(max_examples=300)
+@given(st.text())
+@example("²")
+def test_parse_returns_a_tree_or_raises_parse_error(text):
+    try:
+        tree = parse(text)
+    except ParseError:
+        return
+    assert isinstance(tree, (Num, Var, Const, Neg, BinOp, Call))
+
+
+# text nested k levels deep, and the offset of the error one level deeper
+_NESTINGS = {
+    "parentheses": (lambda k: "(" * k + "x" + ")" * k, 101),
+    "sum": (lambda k: "+".join(["x"] * (k + 1)), 201),
+    "minus": (lambda k: "-" * k + "x", 101),
+    "power": (lambda k: "^".join(["1"] * (k + 1)), 202),
+    "call": (lambda k: "sin(" * k + "x" + ")" * k, 404),
+}
+
+
+@pytest.mark.parametrize("shape", _NESTINGS)
+def test_nesting_bound(shape):
+    nested, offset = _NESTINGS[shape]
+    tree = parse(nested(_MAX_DEPTH))
+    # every walk of a tree at the bound runs
+    assert parse(to_string(tree)) == tree
+    value = evaluate(tree, 0.5)
+    assert compile_expression(tree)(0.5) == value
+    assert compile_jet(tree)(0.5)[0] == derivatives(tree, 0.5).value == value
+    pair_terms = compile_pair_terms(tree)(iter([0.5] * 3), 1.0, 1.0, 4.0)
+    assert list(pair_terms) == [value + 4.0 * value + value]
+    for k in (_MAX_DEPTH + 1, 5000):
+        with pytest.raises(ParseError) as exc:
+            parse(nested(k))
+        assert str(exc.value) == f"expression nested deeper than 100 levels (at offset {offset})"
 
 
 def test_precedence_and_associativity():
