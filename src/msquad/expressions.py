@@ -236,10 +236,11 @@ def to_string(node: Expression) -> str:
         p = _PRECEDENCE[node.op]
         left, right = to_string(node.left), to_string(node.right)
         if node.op == "^":
-            # right-associative: parenthesize any non-atomic base
+            # right-associative: parenthesize any non-atomic base; the
+            # exponent is a unary, so a negation there stays bare (x^-y)
             if _prec(node.left) <= p:
                 left = f"({left})"
-            if _prec(node.right) < p:
+            if _prec(node.right) < _NEG_PRECEDENCE:
                 right = f"({right})"
         else:
             if _prec(node.left) < p:

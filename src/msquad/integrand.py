@@ -93,8 +93,10 @@ class Integrand:
     """
 
     # An expression integrand's traced composite pair loop.  Its presence
-    # also marks ``_fn`` as compiled code returning floats, which the
-    # reference oracle samples unchecked and replays through ``f(x)``.
+    # also marks ``_fn`` and ``_derivative_fn`` as compiled code returning
+    # floats: the reference oracle samples ``_fn`` unchecked and replays
+    # through ``f(x)``, and the range estimator samples ``_derivative_fn``
+    # unchecked and replays through ``f.derivative``.
     _pair_terms = None
 
     def __init__(

@@ -49,7 +49,6 @@ _WG = (
 )
 
 _EPS = 2.220446049250313e-16
-_MAX = 1.7976931348623157e308  # the largest float
 _UNIT = 1 << 1074  # 2**-1074, the smallest subnormal, is 1 / _UNIT
 _MIN_TOL = 1e-14
 _DEFAULT_SEGMENT_LIMIT = 2048
@@ -145,8 +144,6 @@ def reference_integral(
         counter = 1
         while True:
             total_err = exact / _UNIT  # correctly rounded; OverflowError past the max
-            if total_err == _MAX:  # where math.fsum may overflow before rounding
-                total_err = math.fsum(-entry[0] for entry in heap)
             if total_err <= tol:
                 break
             if len(heap) >= segment_limit:

@@ -2,8 +2,9 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from helpers import CORPUS
+from helpers import CORPUS, EDGE_LIMITS, EDGE_TREES, edge_text, outcome
 from msquad.bounds import (
     DerivativeRange,
     SecantSlope,
@@ -19,6 +20,7 @@ from msquad.bounds import (
 )
 from msquad.errors import EvaluationError, InvalidRangeError, SlopeInconsistencyError
 from msquad.integrand import Integrand, Interval, UniformGrid
+from msquad.jets import expression_integrand
 from msquad.kernels import kernel_abs_integral, scaled_constants
 from msquad.reference import reference_integral
 from msquad.rules import composite_modified_simpson, modified_simpson_panel
@@ -291,10 +293,11 @@ def test_estimator_samples_chebyshev_extrema(a, b, n):
             assert abs(mp.mpf(x) - exact) <= tol
 
 
-@pytest.mark.parametrize("a, b", [(1e4, 10001.0), (1e8, 100000000.001)])
+@pytest.mark.parametrize("a, b", [(1e10, 1e10 + 1.0), (1e12, 1e12 + 1.0)])
 def test_estimator_polish_stops_at_float_spacing(a, b):
-    # the polish tolerance 1e-12 * max(width, 1) is below the float
-    # spacing near a, so the bracket stops shrinking before reaching it
+    # the polish tolerance 1e-6 * max(width, 1) = 1e-6 is below the float
+    # spacing near a (2**-19 and 2**-13), so the bracket stops shrinking
+    # before reaching it
     sin_f = CORPUS[2].integrand()
     rng = estimate_derivative_range(sin_f, 3, Interval(a, b))
     samples = [-math.cos(a + (b - a) * i / 64) for i in range(65)]
@@ -313,6 +316,97 @@ def test_estimator_validation():
         estimate_derivative_range(EXP, 2, UNIT, safety=math.inf)
     with pytest.raises(ValueError):
         estimate_derivative_range(EXP, 0, UNIT)
+
+
+@pytest.mark.parametrize(
+    "fn, iv", [(lambda x: math.sin(3.0 * x), Interval(0.0, 3.0)), (math.exp, UNIT)],
+    ids=["interior-extrema", "monotone"],
+)
+def test_polish_reuses_bracket_end_samples(fn, iv):
+    calls = []
+
+    def d2(x):
+        calls.append(x)
+        return fn(x)
+
+    n = 129
+    estimate_derivative_range(Integrand.from_callables(fn, fn, d2), 2, iv, n_samples=n)
+    xs, polish = calls[:n], calls[n:]
+    values = [fn(x) for x in xs]
+    budget = n
+    for i in (values.index(min(values)), values.index(max(values))):
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, n - 1)]
+        assert lo not in polish and hi not in polish
+        # two interior points, then one per step; a step keeps 1/phi of
+        # the bracket until it is within the tolerance 1e-6 * max(width, 1)
+        tol = 1e-6 * max(iv.width, 1.0)
+        budget += 2 + math.ceil(math.log((hi - lo) / tol) / math.log((1 + math.sqrt(5.0)) / 2))
+    assert len(calls) <= budget
+
+
+def _range_outcome(f, k, iv):
+    def ends(f):
+        rng = estimate_derivative_range(f, k, iv)
+        return rng.lower, rng.upper
+
+    return outcome(ends, f)
+
+
+def _sampled_and_checked(text, df_text=None):
+    """The expression integrand, and the same provider behind the public
+    constructor, which the estimator calls through ``f.derivative``."""
+    sampled = expression_integrand(text, df_text)
+    checked = Integrand(sampled._fn, sampled._derivative_fn, 6)
+    assert sampled._pair_terms is not None and checked._pair_terms is None
+    return sampled, checked
+
+
+@settings(max_examples=150, deadline=None)
+@given(EDGE_TREES, st.none() | EDGE_TREES, EDGE_LIMITS, EDGE_LIMITS, st.integers(1, 6))
+def test_unchecked_sampler_matches_checked_path(tree, df_tree, a, b, k):
+    assume(a < b and math.isfinite(b - a))
+    df_text = None if df_tree is None else edge_text(df_tree)
+    sampled, checked = _sampled_and_checked(edge_text(tree), df_text)
+    iv = Interval(a, b)
+    assert _range_outcome(sampled, k, iv) == _range_outcome(checked, k, iv)
+
+
+def _first_polish_abscissa(pole_near):
+    """Where the polish first evaluates on [0, 1] when the samples' minimum
+    of f' lies at the sample nearest ``pole_near``: between two samples."""
+    calls = []
+
+    def d1(x):
+        calls.append(x)
+        return abs(x - pole_near)
+
+    estimate_derivative_range(Integrand.from_callables(math.sin, d1), 1, UNIT)
+    samples, polish = calls[:129], calls[129:]  # 129 samples by default
+    assert polish[0] not in samples
+    return polish[0]
+
+
+_POLISH_POLE = _first_polish_abscissa(0.3)
+
+
+@pytest.mark.parametrize(
+    "text, k, iv, message, abscissa",
+    [
+        # f' = -1/(x-c)^2 is least at the sample nearest c, and c is the
+        # first point the polish of that bracket evaluates
+        (f"1/(x-{_POLISH_POLE!r})", 1, UNIT, "division by zero", _POLISH_POLE),
+        # only the last sample, b, is -inf
+        ("1/x", 1, Interval(-1.0, 1e-160), "derivative of order 1 is non-finite", 1e-160),
+        # the first sample, a, raises
+        ("log(x)", 2, UNIT, "log of non-positive value 0.0", 0.0),
+    ],
+    ids=["pole-reached-by-polish", "inf-at-last-sample", "raises-at-first-sample"],
+)
+def test_unchecked_sampler_replays_a_failure(text, k, iv, message, abscissa):
+    sampled, checked = _sampled_and_checked(text)
+    got = _range_outcome(sampled, k, iv)
+    assert got == _range_outcome(checked, k, iv)
+    assert got == (EvaluationError, f"{message} (at x = {abscissa!r})", repr(abscissa))
 
 
 @pytest.mark.parametrize("fn", CORPUS, ids=lambda c: c.name)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import EDGE_ABSCISSAE, EDGE_TREES, VALUE_CORPUS, VALUE_GRID, outcome
 from msquad.errors import EvaluationError, ParseError
@@ -177,6 +177,47 @@ _trees = st.recursive(
 
 @given(_trees)
 def test_roundtrip_property(tree):
+    assert parse(to_string(tree)) == tree
+
+
+def test_negated_exponent_prints_bare():
+    assert to_string(parse("x^-(x+1)^-2")) == "x^-(x+1.0)^-2.0"
+    tree = parse("2^-" * 40 + "x")  # 80 levels; parenthesised it would be 120
+    assert to_string(tree) == "2.0^-" * 40 + "x"
+    assert parse(to_string(tree)) == tree
+
+
+# Text nested one or two levels deeper per piece: each piece opens before
+# the innermost leaf and closes after it.
+_PIECES = (("-", ""), ("2^-", ""), ("x^", ""), ("exp(", ")"), ("(", ")"), ("x+", ""),
+           ("x-(", ")"), ("(", "*x)"), ("(", ")^-2"), ("x/", ""), ("2^-(", "+x)"))
+
+
+def _nest(pieces: list, leaf: str) -> str:
+    return "".join(p for p, _ in pieces) + leaf + "".join(c for _, c in reversed(pieces))
+
+
+# Each text draws its piece count uniformly and its pieces from a few kinds,
+# so that long runs of one kind occur.
+_deep_texts = st.builds(
+    _nest,
+    st.tuples(st.integers(0, 80), st.sets(st.sampled_from(_PIECES), min_size=1)).flatmap(
+        lambda size_kinds: st.lists(
+            st.sampled_from(sorted(size_kinds[1])), min_size=size_kinds[0], max_size=size_kinds[0]
+        )
+    ),
+    st.sampled_from(["x", "2", "pi"]),
+)
+
+
+@given(_deep_texts)
+@example("2^-" * 50 + "x")
+def test_roundtrip_property_on_deep_texts(text):
+    # any text within the nesting bound reprints within it
+    try:
+        tree = parse(text)
+    except ParseError:
+        assume(False)
     assert parse(to_string(tree)) == tree
 
 

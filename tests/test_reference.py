@@ -249,19 +249,34 @@ def test_running_error_total_cancels_exactly(monkeypatch, errors, total):
 
 @pytest.mark.parametrize(
     "errors",
-    [
-        {(0.0, 1.0): 1e308, (0.0, 0.5): 1e308, (0.5, 1.0): 1e308},
-        # the exact sum rounds down to the float maximum, but math.fsum
-        # overflows on it in an intermediate step
-        {(0.0, 1.0): _MAX, (0.0, 0.5): 2.0**969, (0.5, 1.0): _MAX,
-         (0.5, 0.75): _MAX, (0.75, 1.0): math.nextafter(2.0**969, 0.0)},
-    ],
-    ids=["past-the-max", "fsum-intermediate-overflow"],
+    [{(0.0, 1.0): 1e308, (0.0, 0.5): 1e308, (0.5, 1.0): 1e308}],
+    ids=["past-the-max"],
 )
 def test_error_total_past_the_float_maximum_overflows(monkeypatch, errors):
     _scripted_segments(monkeypatch, lambda lo, hi: errors[(lo, hi)])
     with pytest.raises(EvaluationError, match="reference value overflows"):
         reference_integral(ONE, UNIT, tol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "errors",
+    [
+        # the exact sum rounds down to the float maximum, but math.fsum
+        # overflows on it in an intermediate step
+        {(0.0, 1.0): _MAX, (0.0, 0.5): 2.0**969, (0.5, 1.0): _MAX,
+         (0.5, 0.75): _MAX, (0.75, 1.0): math.nextafter(2.0**969, 0.0)},
+    ],
+    ids=["fsum-intermediate-overflow"],
+)
+def test_error_total_rounding_to_the_float_maximum_is_finite(monkeypatch, errors):
+    made = _scripted_segments(monkeypatch, lambda lo, hi: errors[(lo, hi)])
+    with pytest.raises(ReferenceConvergenceError) as exc:
+        reference_integral(ONE, UNIT, tol=1e-14, segment_limit=3)
+    live = _live_errors(made)
+    assert len(live) == 3
+    exact = float(sum(map(Fraction, live)))  # correctly rounded
+    assert exact == _MAX
+    assert exc.value.est_abs_error == exact
 
 
 def test_oracle_sums_are_linear_in_segments(monkeypatch):
