@@ -252,7 +252,14 @@ def expression_integrand(text: str, df_text: str | None = None) -> Integrand:
             return df(x)
         if jet is None:
             jet = compile_jet(expr)
-        return jet(x)[order] * _FACTORIALS[order]
+        try:
+            coeffs = jet(x)
+        except ValueError as exc:
+            if not str(exc).endswith(" in fsum"):  # sin or cos of an infinite value
+                raise
+            # a recurrence's fsum met inf - inf: that coefficient is not finite
+            raise EvaluationError(f"derivative of order {order} is non-finite", x) from None
+        return coeffs[order] * _FACTORIALS[order]
 
     f = Integrand(compile_expression(expr), provider, max_order=ORDER, name=text)
 

@@ -63,8 +63,12 @@ class ReferenceResult:
     subdivisions: int
 
 
-def _kronrod_segment(f: Integrand, lo: float, hi: float) -> tuple[float, float]:
-    """One G7/K15 application on [lo, hi]: returns (value, error estimate)."""
+def _kronrod_segment(
+    f: Integrand, lo: float, hi: float
+) -> tuple[float, float, float, float]:
+    """One G7/K15 application on [lo, hi]: returns (value, error estimate,
+    rounding floor, fixed floor).  The estimate is never below the floor;
+    the fixed floor is the floor where bisecting cannot lower it, else 0."""
     scale = 0.5 * (hi - lo)
     centre = lo + scale
     # (below, above) at each node but the centre, outermost first.  An
@@ -84,16 +88,17 @@ def _kronrod_segment(f: Integrand, lo: float, hi: float) -> tuple[float, float]:
         fc = f(centre)
     if pairs.count((fc, fc)) == 7:
         # flat samples: the embedded pair is exact, difference estimate is 0
-        return _finite(pairs[0][0] * (hi - lo), "reference value"), 0.0
+        return _finite(pairs[0][0] * (hi - lo), "reference value"), 0.0, 0.0, 0.0
 
     resk = math.fsum([w * (a + b) for w, (a, b) in zip(_WGK, pairs)] + [_WGK[7] * fc])
     resg = math.fsum([w * (a + b) for w, (a, b) in zip(_WG, pairs[1::2])] + [_WG[3] * fc])
     value = resk * scale
 
     reskh = 0.5 * resk
-    resabs = math.fsum(
+    absk = math.fsum(
         [w * (abs(a) + abs(b)) for w, (a, b) in zip(_WGK, pairs)] + [_WGK[7] * abs(fc)]
-    ) * abs(scale)
+    )
+    resabs = absk * abs(scale)
     resasc = math.fsum(
         [w * (abs(a - reskh) + abs(b - reskh)) for w, (a, b) in zip(_WGK, pairs)]
         + [_WGK[7] * abs(fc - reskh)]
@@ -102,10 +107,14 @@ def _kronrod_segment(f: Integrand, lo: float, hi: float) -> tuple[float, float]:
     err = abs(resk - resg) * abs(scale)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if resabs > 0.0:
-        err = max(err, 50.0 * _EPS * resabs)
+    floor = 50.0 * _EPS * resabs
+    err = max(err, floor)
+    # Where the samples change sign, |f| has a kink that resabs resolves
+    # better on halves, so bisecting may lower the floor; it is fixed only
+    # on a one-signed segment, where absk is |resk| bit for bit.
+    fixed = floor if absk == abs(resk) else 0.0
     # bisecting cannot mend an overflow, so stop at the first
-    return _finite(value, "reference value"), _finite(err, "reference value")
+    return _finite(value, "reference value"), _finite(err, "reference value"), floor, fixed
 
 
 def _units(x: float) -> int:
@@ -123,28 +132,41 @@ def reference_integral(
     """Adaptive reference integral with absolute tolerance ``tol``.
 
     Bisects the segment with the largest embedded error estimate until
-    the summed estimate drops to ``tol``.  That sum is kept as an exact
-    running total and read correctly rounded, as :func:`math.fsum` gives
-    it, so a bisection step costs O(log S) with S segments on the heap.
-    ``subdivisions`` reports the final segment count.  Raises
-    :class:`ReferenceConvergenceError` carrying the best value if the
-    segment limit is hit first, and :class:`EvaluationError` if the value
-    overflows.
+    the summed estimate drops to ``tol`` or to the oracle's rounding
+    floor, whichever comes first; ``est_abs_error`` says which, as it is
+    at most ``tol`` only for the first.  Each segment's estimate is
+    floored at ``50 * eps * resabs``, as in QUADPACK's ``dqk15``.  The
+    oracle stops at the floor, the roundoff stop of ``dqagse``, once every
+    live segment sits on its floor and the floors that bisecting cannot
+    lower (those of segments whose samples keep one sign) already sum
+    above ``tol``: from there no bisection reaches ``tol``.  An integral
+    of ``|f|`` above about ``tol / 1.1e-14`` gets there.  The sums are
+    kept exactly and the estimate is read correctly rounded, as
+    :func:`math.fsum` gives it, so a bisection step costs O(log S) with
+    S segments on the heap.  ``subdivisions`` reports the final segment
+    count.  Raises :class:`ReferenceConvergenceError` carrying the best
+    value if the segment limit is hit first, and :class:`EvaluationError`
+    if the value overflows.
     """
     if not tol >= _MIN_TOL:  # a NaN tolerance fails here too
         raise ValueError(f"tolerance must be >= {_MIN_TOL}, got {tol}")
 
     try:
-        value, err = _kronrod_segment(f, iv.a, iv.b)
-        # heap entries: (-error, insertion counter, lo, hi, value, error in
-        # units of 2**-1074); every finite float is a whole number of those
-        # units, so ``exact`` is the heap's error sum without rounding
-        exact = _units(err)
-        heap = [(-err, 0, iv.a, iv.b, value, exact)]
+        # heap entries: (-error, insertion counter, lo, hi, value, then the
+        # error, floor and fixed floor in units of 2**-1074); every finite
+        # float is a whole number of those units, so ``exact``, ``floored``
+        # and ``fixed`` are the heap's sums of them without rounding.  An
+        # error is never below its floor, so ``exact == floored`` only when
+        # every error is its floor.
+        value, err, floor, fixed_floor = _kronrod_segment(f, iv.a, iv.b)
+        exact, floored, fixed = _units(err), _units(floor), _units(fixed_floor)
+        heap = [(-err, 0, iv.a, iv.b, value, exact, floored, fixed)]
         counter = 1
         while True:
             total_err = exact / _UNIT  # correctly rounded; OverflowError past the max
-            if total_err <= tol:
+            # fixed <= exact cannot overflow, and rounded to nearest it is
+            # above tol only if it is so exactly
+            if total_err <= tol or exact == floored and fixed / _UNIT > tol:
                 break
             if len(heap) >= segment_limit:
                 raise ReferenceConvergenceError(
@@ -153,14 +175,14 @@ def reference_integral(
                     best_value=math.fsum(entry[4] for entry in heap),
                     est_abs_error=total_err,
                 )
-            _, _, lo, hi, _, popped = heapq.heappop(heap)
-            exact -= popped
+            _, _, lo, hi, _, e, fl, fx = heapq.heappop(heap)
+            exact, floored, fixed = exact - e, floored - fl, fixed - fx
             mid = lo + 0.5 * (hi - lo)
             for a, b in ((lo, mid), (mid, hi)):
-                v, e = _kronrod_segment(f, a, b)
-                units = _units(e)
-                heapq.heappush(heap, (-e, counter, a, b, v, units))
-                exact += units
+                v, err, floor, fixed_floor = _kronrod_segment(f, a, b)
+                e, fl, fx = _units(err), _units(floor), _units(fixed_floor)
+                heapq.heappush(heap, (-err, counter, a, b, v, e, fl, fx))
+                exact, floored, fixed = exact + e, floored + fl, fixed + fx
                 counter += 1
         value = math.fsum(entry[4] for entry in heap)
     except (OverflowError, ValueError):  # an overflowing sum of values or errors
@@ -220,7 +242,8 @@ def convergence_study(
 
     ``n_list`` must be strictly increasing, so the spacings are strictly
     decreasing.  Errors are absolute, against the reference oracle at
-    tolerance 1e-13.
+    tolerance 1e-13 or at its rounding floor, whichever comes first (see
+    :func:`reference_integral`; its ``est_abs_error`` says which).
     """
     return _study(rule_id, f, iv, n_list, None)
 

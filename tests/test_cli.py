@@ -476,3 +476,18 @@ def test_overflowing_estimate_and_bound():
         code, out, err = invoke("bounds", "--f", "exp(x)", "-a", "0", "-b", "700", "-k", k,
                                 "--format", "json")
         assert (code, out, err) == (2, "", "msquad: error: error bound overflows\n")
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_converge_past_the_oracle_floor(fmt):
+    # integral|exp| = 19.1 on [0, 3] puts the oracle's rounding floor above 1e-13
+    code, out, err = invoke("converge", "--f", "exp(x)", "-a", "0", "-b", "3", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert "fitted_order" in out
+
+
+def test_non_finite_jet_sum_is_a_non_finite_derivative():
+    # inf - inf inside a recurrence's fsum, where 1/x reaches inf without one
+    for f in ("x^-2", "1/x"):
+        assert invoke("bounds", "--f", f, "-a", "-1", "-b", "1e-160", "-k", "2") == (
+            2, "", "msquad: error: derivative of order 2 is non-finite (at x = 1e-160)\n")

@@ -154,6 +154,24 @@ def test_domain_errors_in_jets():
         derivatives(parse("x^0.5"), -1.0)
 
 
+@pytest.mark.parametrize(
+    "text, x, message",
+    [
+        # 1e-160^-2 overflows, and a recurrence's fsum meets inf - inf
+        ("x^-2", 1e-160, "derivative of order {k} is non-finite"),
+        # the sine of an infinite value, which the point path reports alike
+        ("sin(1e200*1e200*x)", 0.0625, "math domain error"),
+    ],
+    ids=["fsum-inf-minus-inf", "sin-of-inf"],
+)
+def test_jet_value_errors_name_the_point(text, x, message):
+    f = expression_integrand(text)
+    for k in range(1, 7):
+        with pytest.raises(EvaluationError) as exc:
+            f.derivative(k, x)
+        assert str(exc.value) == f"{message.format(k=k)} (at x = {x!r})"
+
+
 def test_negative_integer_powers():
     jet = derivatives(parse("x^-2"), 2.0)
     # d/dx x^-2 = -2 x^-3

@@ -80,9 +80,10 @@ def test_overflowing_reference_is_an_evaluation_error(fn, iv):
 
 
 def test_subdivision_limit_carries_best_value():
+    # one segment on [-2, 2] estimates 7.3e-13, above its 8.1e-14 floor
     with pytest.raises(ReferenceConvergenceError) as exc:
-        reference_integral(EXP, SYM, tol=1e-14, segment_limit=1)
-    assert abs(exc.value.best_value - (math.e - 1.0 / math.e)) < 1e-10
+        reference_integral(EXP, Interval(-2.0, 2.0), tol=1e-14, segment_limit=1)
+    assert abs(exc.value.best_value - 2.0 * math.sinh(2.0)) < 1e-10
     assert exc.value.est_abs_error > 1e-14
 
 
@@ -141,7 +142,7 @@ def test_kronrod_segment_matches_dqk15():
     for name, fn, lo, hi, branch in _DQK15_CASES:
         samples = []
         f = Integrand(lambda x: samples.append((x, fn(x))) or fn(x))
-        value, err = _kronrod_segment(f, lo, hi)
+        value, err, floor_, fixed = _kronrod_segment(f, lo, hi)
         assert len(samples) == 15, name
         with mpmath.workdps(50):
             mpf = mpmath.mpf
@@ -165,6 +166,10 @@ def test_kronrod_segment_matches_dqk15():
             assert taken == branch, name
             assert abs(value - resk * scale) <= 1e-15 * resabs, name
             assert abs(err - max(want, floor)) <= 1e-8 * max(want, floor), name
+            assert abs(floor_ - floor) <= 1e-14 * floor, name
+            assert (err == floor_) == (branch == "floor"), name
+            one_signed = all(fx >= 0 for _, fx in fs) or all(fx <= 0 for _, fx in fs)
+            assert fixed == (floor_ if one_signed else 0.0), name
             if branch == "floor":  # not a near tie with the difference estimate
                 assert want < 1e-3 * floor, name
             if name == "x18":  # K15 is exact here, G7 is not
@@ -178,25 +183,31 @@ ONE = Integrand(lambda x: 1.0)
 _MAX = 1.7976931348623157e308
 
 
-def _scripted_segments(monkeypatch, error):
+def _scripted_segments(monkeypatch, error, floors=lambda lo, hi: (0.0, 0.0)):
     """Replace the G7/K15 segment by one whose error estimate is
-    ``error(lo, hi)``; returns the record of every segment made."""
+    ``error(lo, hi)`` and whose rounding floor and fixed floor are
+    ``floors(lo, hi)``; returns the record of every segment's error."""
     made = {}
 
     def segment(f, lo, hi):
         made[(lo, hi)] = e = error(lo, hi)
-        return 1.0, e
+        return 1.0, e, *floors(lo, hi)
 
     monkeypatch.setattr(msquad.reference, "_kronrod_segment", segment)
     return made
 
 
-def _live_errors(made, lo=0.0, hi=1.0):
-    """Errors of the segments on the heap: the unbisected leaves."""
+def _live_segments(made, lo=0.0, hi=1.0):
+    """The segments on the heap: the unbisected leaves."""
     mid = lo + 0.5 * (hi - lo)
     if (lo, mid) not in made:
-        return [made[(lo, hi)]]
-    return _live_errors(made, lo, mid) + _live_errors(made, mid, hi)
+        return [(lo, hi)]
+    return _live_segments(made, lo, mid) + _live_segments(made, mid, hi)
+
+
+def _live_errors(made):
+    """Errors of the segments on the heap."""
+    return [made[segment] for segment in _live_segments(made)]
 
 
 def _total_after(limit, tol=1e-14):
@@ -294,11 +305,123 @@ def test_oracle_sums_are_linear_in_segments(monkeypatch):
     monkeypatch.setattr(msquad.reference, "math", SimpleNamespace(**{**vars(math), "fsum": fsum}))
     monkeypatch.setattr(msquad.reference, "_kronrod_segment", segment)
     with pytest.raises(ReferenceConvergenceError, match="after 2048 segments"):
-        reference_integral(expression_integrand("exp(x)"), Interval(0.0, 3.0), tol=1e-13)
+        reference_integral(expression_integrand("sin(1/x)"), Interval(1e-4, 1.0), tol=1e-13)
     # a segment sums 53 products itself (K15, G7, |f| and |f - mean|); the
     # bookkeeping adds O(1) per segment, where re-summing the heap added O(S)
     assert counts["segments"] == 2 * 2048 - 1
     assert counts["items"] < 64 * counts["segments"]
+
+
+# -- the rounding-floor stop ------------------------------------------------------
+
+
+def test_oracle_stops_at_its_rounding_floor():
+    """On [0, 3], integral|exp| = 19.1 puts the dqk15 floor 50*eps*resabs of
+    the first segment at 2.1e-13, above the studies' tolerance 1e-13."""
+    res = reference_integral(EXP, Interval(0.0, 3.0), tol=1e-13)
+    assert res.subdivisions == 1
+    with mpmath.workdps(50):
+        mpf = mpmath.mpf
+        centre = scale = mpf(1.5)
+        nodes = [(w, t) for x, w in zip(_XGK, _WGK) for t in {x, -x}]  # the centre once
+        assert len(nodes) == 15
+        resabs = scale * sum(mpf(w) * mpmath.exp(centre + scale * mpf(t)) for w, t in nodes)
+        floor = 50 * mpf(2) ** -52 * resabs
+        assert abs(res.est_abs_error - floor) <= 1e-14 * floor
+        assert abs(res.value - (mpmath.exp(3) - 1)) <= res.est_abs_error
+    assert res.est_abs_error > 1e-13
+
+
+def test_studies_run_where_the_floor_is_above_their_tolerance():
+    exp, exp_iv = expression_integrand("exp(x)"), Interval(0.0, 3.0)
+    table = convergence_study(Rule.MODIFIED_SIMPSON, exp, exp_iv, [2, 4, 8, 16, 32, 64])
+    ref = reference_integral(exp, exp_iv, tol=1e-13)
+    assert table.reference_value == ref.value
+    assert abs(table.fitted_order - 6.0) < 0.1
+    with mpmath.workdps(50):
+        assert abs(ref.value - (mpmath.exp(3) - 1)) <= ref.est_abs_error
+
+    peak, peak_iv = expression_integrand("1/(1e-2+x^2)"), SYM
+    comparison = compare_rules(peak, peak_iv, [2, 4, 8, 16, 32, 64])
+    ref = reference_integral(peak, peak_iv, tol=1e-13)
+    assert comparison.simpson.reference_value == comparison.modified.reference_value == ref.value
+    with mpmath.workdps(50):
+        root = mpmath.sqrt(mpmath.mpf(1e-2))  # the float the expression holds
+        assert abs(ref.value - 2 * mpmath.atan(1 / root) / root) <= ref.est_abs_error
+
+
+def _floored_segments(seed, one_signed):
+    """Scripted errors and (floor, fixed floor) pairs.  Floors are near
+    (hi - lo) * 1e-12, so their sum stays above the tolerance 1e-14; each
+    is fixed, as on a one-signed segment, with probability ``one_signed``.
+    Errors are above the floor on segments wider than 2**-4 that start at
+    0, and on some of those in [0.5, 1]; they are on the floor elsewhere."""
+    def floors(lo, hi):
+        rng = random.Random(f"{seed}:{lo!r}:{hi!r}")
+        floor = (hi - lo) * 1e-12 * rng.uniform(0.5, 2.0)
+        return floor, floor if rng.random() < one_signed else 0.0
+
+    def error(lo, hi):
+        rng = random.Random(f"{seed}:{lo!r}:{hi!r}:above")
+        above = hi - lo > 2.0**-4 and (lo == 0.0 or lo >= 0.5 and rng.random() < 0.6)
+        return floors(lo, hi)[0] * (1.0 + rng.random()) if above else floors(lo, hi)[0]
+
+    return error, floors
+
+
+def _floor_stop_steps(monkeypatch, seed, one_signed):
+    """Run the scripted oracle to each segment limit in turn, every step of
+    one bisection run, checking that it stops at the floor exactly when all
+    live errors are on their floors and the fixed floors sum above tol.
+    Returns per step whether it raised, and whether it raised with some
+    segment on its floor."""
+    error, floors = _floored_segments(seed, one_signed)
+    made = _scripted_segments(monkeypatch, error, floors)
+    steps = []
+    for limit in range(1, 41):
+        made.clear()
+        try:
+            res = reference_integral(ONE, UNIT, tol=1e-14, segment_limit=limit)
+        except ReferenceConvergenceError as exc:
+            res, total = None, exc.est_abs_error
+        else:
+            total = res.est_abs_error
+        live = _live_segments(made)
+        assert total.hex() == math.fsum(made[s] for s in live).hex(), limit
+        at_floor = [made[s] == floors(*s)[0] for s in live]
+        stuck = all(at_floor) and sum(Fraction(floors(*s)[1]) for s in live) > 1e-14
+        if res is None:
+            assert len(live) == limit and not stuck, limit
+        else:
+            assert res.subdivisions == len(live) and stuck, limit
+        steps.append((res is None, res is None and any(at_floor)))
+    return steps
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_floor_stop_waits_for_every_segment(monkeypatch, seed):
+    steps = _floor_stop_steps(monkeypatch, seed, one_signed=0.8)
+    raised, waited = zip(*steps)
+    assert raised[0] and any(waited) and not raised[-1]  # it bisected, then stopped
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_floor_stop_waits_for_fixed_floors_above_tol(monkeypatch, seed):
+    # no floor is fixed, so bisecting might lower any of them below tol
+    steps = _floor_stop_steps(monkeypatch, seed, one_signed=0.0)
+    assert all(raised for raised, _ in steps)
+
+
+def test_floor_that_bisecting_lowers_does_not_stop():
+    """|3 sin(47x)| has a kink at each zero, and resabs, the floor with it,
+    drops as bisecting resolves them: this tolerance is a hair below the
+    floors' sum at 32 segments and above it further on."""
+    f, iv, tol = expression_integrand("3*sin(47*x)"), Interval(1.0, 3.0), 4.24712167814391e-14
+    res = reference_integral(f, iv, tol)
+    assert res.est_abs_error <= tol
+    with mpmath.workdps(50):
+        truth = 3 * (mpmath.cos(47 * mpmath.mpf(1)) - mpmath.cos(47 * mpmath.mpf(3))) / 47
+        assert abs(res.value - truth) <= tol
 
 
 # -- the unchecked sampler -------------------------------------------------------
