@@ -309,11 +309,16 @@ class Tracer:
     A value is a local or constant name, a number literal of the walker's,
     or an expression that ``let`` binds to a local.  Constants enter as
     names bound to their exact values, so no user text reaches the source.
-    Negating a finite constant is exact, so it folds; nothing else does.
+    Negating a finite constant is exact, so it folds.  An expression already
+    bound is not bound again: the lines are straight-line, each name is
+    assigned once and every operation is deterministic, so the first binding
+    holds the value, or has raised the error, that a repeat would.  Nothing
+    else folds.
     """
 
     def __init__(self) -> None:
         self.lines: list[str] = []
+        self.bound: dict[str, str] = {}  # source text -> the local bound to it
         self.constants: dict[str, float] = {}
         self.scope: dict = {"EvaluationError": EvaluationError, "Binary64": Binary64,
                             "fsum": math.fsum, **{fn: getattr(math, fn) for fn in FUNCTIONS}}
@@ -332,9 +337,10 @@ class Tracer:
     def let(self, v):
         if not isinstance(v, str) or v.isidentifier():
             return v
-        name = f"t{len(self.lines)}"
-        self.lines.append(f"{name} = {v}")
-        return name
+        if v not in self.bound:
+            self.bound[v] = f"t{len(self.lines)}"
+            self.lines.append(f"{self.bound[v]} = {v}")
+        return self.bound[v]
 
     def neg(self, a):
         value = self.known(a)
@@ -377,15 +383,19 @@ class Tracer:
                             filename)
 
     def pair_terms(self, result) -> Callable:
-        """A generator ``f(nodes, c, we, wm)`` of ``c * (we*fa + wm*fm + we*fb)``
-        over the pairs of subintervals of ``nodes``, the lines inlined at each
-        node.  It checks nothing the lines do not, and wraps no error."""
+        """A generator ``f(a, b, h, m, c, we, wm)`` of ``c * (we*fa + wm*fm +
+        we*fb)`` over the pairs of subintervals of the ``m`` (even) steps of
+        width ``h`` from ``a`` to ``b``, the lines inlined at each node.  Node
+        ``j`` is ``a + j * h`` for ``j < m`` and ``b`` for ``j = m``, exactly as
+        :meth:`~msquad.integrand.UniformGrid.nodes` places them.  It checks
+        nothing the lines do not, and wraps no error."""
         def at(indent, name):
             return self._block(indent, f"{name} = {_src(result)}")
 
-        return self._define(f"def f(nodes, c, we, wm):\n    x = next(nodes)\n{at(4, 'fa')}"
-                            f"    for x, xb in zip(nodes, nodes):\n{at(8, 'fm')}"
-                            f"        x = xb\n{at(8, 'fb')}"
+        return self._define(f"def f(a, b, h, m, c, we, wm):\n    x = a + 0 * h\n{at(4, 'fa')}"
+                            "    for j in range(2, m + 1, 2):\n"
+                            f"        x = a + (j - 1) * h\n{at(8, 'fm')}"
+                            f"        x = a + j * h if j < m else b\n{at(8, 'fb')}"
                             "        yield c * (we * fa + wm * fm + we * fb)\n"
                             "        fa = fb\n", "<msquad pair terms>")
 
@@ -407,8 +417,9 @@ def compile_expression(node: Expression) -> Callable[[float], float]:
 
 
 def compile_pair_terms(node: Expression) -> Callable:
-    """Compile the tree once into the generator of composite pair terms that
-    :mod:`msquad.rules` sums (see :meth:`Tracer.pair_terms`)."""
+    """Compile the tree once into the generator ``f(a, b, h, m, c, we, wm)``
+    of composite pair terms that :mod:`msquad.rules` sums, placing the grid's
+    nodes itself (see :meth:`Tracer.pair_terms`)."""
     tracer = Tracer()
     return tracer.pair_terms(_value(tracer, node, "x"))
 

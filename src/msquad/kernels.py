@@ -93,12 +93,10 @@ _KERNELS: dict[int, PeanoKernel] = {
     k: PeanoKernel(k, _P_POLYS[k], _Q_POLYS[k], (-1) ** k) for k in KERNEL_ORDERS
 }
 
-# Signed float coefficients for runtime Horner evaluation.
+# Signed float coefficients of the left branch for runtime Horner evaluation;
+# the right branch is its mirror image (see kernel_eval).
 _LEFT_F: dict[int, tuple[float, ...]] = {
     k: tuple(float(c) * (-1) ** k for c in _P_POLYS[k]) for k in KERNEL_ORDERS
-}
-_RIGHT_F: dict[int, tuple[float, ...]] = {
-    k: tuple(float(c) * (-1) ** k for c in _Q_POLYS[k]) for k in KERNEL_ORDERS
 }
 
 # Closed-form norm constants, evaluated to binary64 exactly once.
@@ -150,14 +148,18 @@ def _horner(coeffs: tuple[float, ...], x: float) -> float:
 def kernel_eval(k: int, x: float) -> float:
     """Evaluate ``T_k`` at ``x`` in [0, 1].
 
-    The value at exactly 1/2 comes from the right branch (the branches
-    agree there for every k).
+    From x = 1/2 on (the branches agree there) it is the mirror image
+    ``(-1)^k T_k(1 - x)`` of the left branch: ``1 - x`` is exact there
+    (Sterbenz), and the left branch's expansion about 0, used near 0, does
+    not cancel as the right branch's does near 1.  So ``T_k(1)`` is exactly
+    0 for k >= 3.
     """
     _check_order(k)
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"kernel argument must lie in [0, 1], got {x!r}")
-    coeffs = _LEFT_F[k] if x < 0.5 else _RIGHT_F[k]
-    return _horner(coeffs, x)
+    if x < 0.5:
+        return _horner(_LEFT_F[k], x)
+    return (-1) ** k * _horner(_LEFT_F[k], 1.0 - x)
 
 
 def kernel_eval_scaled(k: int, t: float, iv: Interval) -> float:

@@ -6,8 +6,10 @@ with weights 7/30, 16/30, 7/30 (exact for polynomials of degree 5).
 Composite forms run over a :class:`~msquad.integrand.UniformGrid`; the
 derivative corrections telescope, so only the two global endpoint
 derivatives are ever evaluated.  An expression integrand sums its pairs in
-one traced loop with its point values inlined; any error in it is replayed
-through the checked streaming loop that every callable integrand runs.
+one traced loop that places the grid's nodes and inlines its point values,
+each repeated subexpression computed once per node; any error in it is
+replayed through the checked streaming loop that every callable integrand
+runs.
 """
 
 from __future__ import annotations
@@ -111,16 +113,19 @@ def _pair_sum(f: Integrand, grid: UniformGrid, rule: Rule) -> float:
     Nodes stream from :meth:`UniformGrid.nodes` in increasing order and
     each pair's right-hand value is the next pair's left-hand value, so
     memory does not grow with the pair count.  An expression integrand's
-    traced pair loop checks no point value: if it raises, or its sum is not
+    traced pair loop places the same nodes itself from ``a``, ``b`` and
+    ``h``, and checks no point value: if it raises, or its sum is not
     finite (as any non-finite point value makes it), the checked stream of
-    ``f(x)`` replays the sum and alone decides the error.  Returns NaN when
-    the sum overflows, which :func:`_finite` reports.
+    ``f(x)`` over the grid's nodes replays the sum and alone decides the
+    error.  Returns NaN when the sum overflows, which :func:`_finite`
+    reports.
     """
     h = grid.h
     d, we, wm = _PAIRS[rule]
     if f._pair_terms is not None:
+        iv = grid.interval
         try:
-            total = math.fsum(f._pair_terms(grid.nodes(), h / d, we, wm))
+            total = math.fsum(f._pair_terms(iv.a, iv.b, h, grid.n_subintervals, h / d, we, wm))
         except Exception:  # the replay raises it as the checked path does
             total = math.nan
         if math.isfinite(total):

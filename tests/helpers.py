@@ -362,6 +362,8 @@ EDGE_TREES = st.recursive(
         st.builds(Neg, kids),
         st.builds(Call, st.sampled_from(["exp", "log", "sin", "cos", "tan", "sqrt"]), kids),
         st.builds(BinOp, st.sampled_from(list("+-*/^")), kids, kids),
+        # one subtree twice, which the compiled code computes once
+        st.builds(lambda op, kid: BinOp(op, kid, kid), st.sampled_from(list("+-*/^")), kids),
         st.builds(BinOp, st.just("^"), kids, st.builds(Num, _EDGE_NUMBERS)),
         st.builds(BinOp, st.just("^"), kids, st.builds(Neg, st.builds(Num, _EDGE_NUMBERS))),
     ),

@@ -109,9 +109,9 @@ def test_kernel_single_order():
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "x,T_3"
-    # T_3 vanishes at both endpoints (up to expanded-Horner roundoff)
+    # T_3 vanishes at both endpoints
     assert float(lines[1].split(",")[1]) == 0.0
-    assert abs(float(lines[3].split(",")[1])) <= 1e-16
+    assert float(lines[3].split(",")[1]) == 0.0
 
 
 def test_kernel_rejects_bad_order():

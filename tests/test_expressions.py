@@ -11,6 +11,7 @@ from msquad.expressions import (
     Const,
     Neg,
     Num,
+    Tracer,
     Var,
     _MAX_DEPTH,
     compile_expression,
@@ -97,7 +98,7 @@ def test_nesting_bound(shape):
     value = evaluate(tree, 0.5)
     assert compile_expression(tree)(0.5) == value
     assert compile_jet(tree)(0.5)[0] == derivatives(tree, 0.5).value == value
-    pair_terms = compile_pair_terms(tree)(iter([0.5] * 3), 1.0, 1.0, 4.0)
+    pair_terms = compile_pair_terms(tree)(0.5, 0.5, 0.0, 2, 1.0, 1.0, 4.0)
     assert list(pair_terms) == [value + 4.0 * value + value]
     for k in (_MAX_DEPTH + 1, 5000):
         with pytest.raises(ParseError) as exc:
@@ -230,6 +231,17 @@ def test_compiled_matches_walk_on_corpus_grid():
         fn = compile_expression(tree)
         for x in VALUE_GRID:
             assert outcome(fn, x) == outcome(lambda v: evaluate(tree, v), x), (text, x)
+
+
+def test_tracer_binds_each_expression_once():
+    tracer = Tracer()
+    square = tracer.let("x ** 2")
+    assert tracer.let("x ** 2") == square
+    cube = tracer.let("x ** 3")
+    assert cube != square
+    assert tracer.let(f"{square} + {cube}") != tracer.let(f"{cube} + {square}")
+    assert tracer.lines == [f"{square} = x ** 2", f"{cube} = x ** 3",
+                            f"t2 = {square} + {cube}", f"t3 = {cube} + {square}"]
 
 
 @settings(max_examples=400)

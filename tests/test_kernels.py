@@ -47,6 +47,33 @@ def test_eval_examples():
     assert kernel_eval(6, 0.5) == pytest.approx(float(q6_half), rel=1e-12)
 
 
+def test_eval_vanishes_exactly_at_one():
+    # the right branch has a root of order k - 2 >= 1 at x = 1
+    for k in (3, 4, 5, 6):
+        assert poly_eval(kernel(k).right_poly, F(1)) == 0
+        assert kernel_eval(k, 1.0) == 0.0
+
+
+def test_order_six_kernel_never_changes_sign():
+    m = 20_001
+    assert min(kernel_eval(6, i / (m - 1)) for i in range(m)) >= 0.0
+
+
+def test_eval_against_exact_branches():
+    # dense near 1/2 and 1, where expanded branches cancel; the error is
+    # measured against the largest exact value on the samples
+    m = 601
+    xs = ([i / (m - 1) for i in range(m)] + [0.5 + j * 2.0**-40 for j in range(-50, 51)]
+          + [1.0 - j * 2.0**-30 for j in range(50)])
+    for k in KERNEL_ORDERS:
+        ker = kernel(k)
+        exact = [ker.sign * poly_eval(ker.left_poly if x < 0.5 else ker.right_poly, F(x))
+                 for x in xs]
+        sup = max(map(abs, exact))
+        worst = max(abs(F(kernel_eval(k, x)) - e) for x, e in zip(xs, exact))
+        assert worst <= 1e-14 * sup, k
+
+
 def test_eval_domain_and_order_checks():
     with pytest.raises(ValueError):
         kernel_eval(2, -0.1)

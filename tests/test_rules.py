@@ -5,7 +5,7 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import (
     EDGE_LIMITS,
@@ -17,11 +17,13 @@ from helpers import (
     poly_integrand,
 )
 from msquad.errors import DerivativeUnavailableError, EvaluationError
-from msquad.expressions import compile_expression, parse
+from msquad.expressions import compile_expression, compile_pair_terms, parse
 from msquad.integrand import Integrand, Interval, UniformGrid
 from msquad.jets import expression_integrand
 from msquad.rules import (
+    _PAIRS,
     Rule,
+    _pair,
     composite_modified_simpson,
     composite_simpson,
     corrected_midpoint_panel,
@@ -404,6 +406,50 @@ def test_fused_pair_loop_matches_streaming(tree, a, b, n, rule):
     fused, streaming = _fused_and_streaming(edge_text(tree))
     grid = UniformGrid(Interval(a, b), n)
     assert _composite_outcome(rule, fused, grid) == _composite_outcome(rule, streaming, grid)
+
+
+def _term_hexes(terms) -> list:
+    """Each term's bits, NaNs alike, then "error" if the terms stopped on one."""
+    out = []
+    try:
+        for term in terms:
+            out.append("nan" if math.isnan(term) else term.hex())
+    except (ArithmeticError, ValueError, EvaluationError):
+        out.append("error")
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(EDGE_TREES, EDGE_LIMITS, EDGE_LIMITS, st.integers(1, 200), st.sampled_from(list(_PAIRS)))
+# a = -0.0: the first node is a + 0*h = +0.0, which -x*0 tells from -0.0
+@example(parse("-x*0"), -0.0, 1.0, 3, Rule.SIMPSON)
+@example(parse("-x*0"), -0.0, 5e-324, 1, Rule.MODIFIED_SIMPSON)
+# n = 1, and a last node that is b although a + 2*h is 0.18999999999999995
+@example(parse("x"), -1.13, 0.19, 1, Rule.MODIFIED_SIMPSON)
+def test_fused_pair_terms_match_the_checked_stream(tree, a, b, n, rule):
+    # Term by term: a total can hide a misplaced node.  The checked stream
+    # stops at the first pair with a bad point value; the fused loop must
+    # agree on every pair before it, and there raise or give a term that is
+    # not finite, which is what sends the sum to the checked replay.
+    assume(a < b and math.isfinite(b - a))
+    f = Integrand(compile_expression(tree))
+    grid = UniformGrid(Interval(a, b), n)
+    d, we, wm = _PAIRS[rule]
+    values = map(f, grid.nodes())
+
+    def checked():
+        fa = next(values)
+        for fm, fb in zip(values, values):
+            yield _pair(fa, fm, fb, grid.h, d, we, wm)
+            fa = fb
+
+    want = _term_hexes(checked())
+    got = _term_hexes(compile_pair_terms(tree)(a, b, grid.h, 2 * n, grid.h / d, we, wm))
+    if want[-1:] != ["error"]:
+        assert got == want
+    else:
+        assert got[:len(want) - 1] == want[:-1]
+        assert got[len(want) - 1] in ("error", "nan", "inf", "-inf")
 
 
 @pytest.mark.parametrize("n", [997, 4096, 33_333])
