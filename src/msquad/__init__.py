@@ -9,121 +9,59 @@ form, at the price of just two endpoint-derivative evaluations.  The
 package bundles the rule family, its Peano-kernel error machinery, a
 range estimator, an expression parser with Taylor-mode differentiation,
 a reference oracle, and a CLI.
+
+``import msquad`` loads none of these modules: each public name, and each
+module by its own name (``msquad.jets``), is imported on first use
+(PEP 562), so a one-shot CLI run pays only for what its subcommand calls.
 """
 
-from .bounds import (
-    BoundReport,
-    DerivativeRange,
-    SecantSlope,
-    composite_bound_k6,
-    composite_bounds,
-    estimate_derivative_range,
-    midpoint_bounds,
-    panel_bound_k6,
-    panel_bounds,
-    secant_slope,
-    simpson_classic_bound,
-    unit_bounds,
-)
-from .errors import (
-    DerivativeUnavailableError,
-    EvaluationError,
-    InvalidRangeError,
-    MsquadError,
-    ParseError,
-    ReferenceConvergenceError,
-    SlopeInconsistencyError,
-)
-from .expressions import Expression, parse, to_string, evaluate
-from .integrand import Integrand, Interval, UniformGrid
-from .jets import TaylorJet, derivatives, expression_integrand
-from .kernels import (
-    KernelConstants,
-    PeanoKernel,
-    kernel,
-    kernel_abs_integral,
-    kernel_eval,
-    kernel_eval_scaled,
-    kernel_max_abs,
-    kernel_moment,
-    scaled_constants,
-)
-from .reference import (
-    ConvergenceRow,
-    ConvergenceTable,
-    ReferenceResult,
-    RuleComparison,
-    compare_rules,
-    convergence_study,
-    reference_integral,
-)
-from .rules import (
-    QuadResult,
-    Rule,
-    composite_modified_simpson,
-    composite_simpson,
-    corrected_midpoint_panel,
-    leading_error_estimate,
-    midpoint_panel,
-    modified_simpson_panel,
-    simpson_panel,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "ConvergenceRow",
-    "ConvergenceTable",
-    "DerivativeRange",
-    "DerivativeUnavailableError",
-    "EvaluationError",
-    "Expression",
-    "Integrand",
-    "Interval",
-    "InvalidRangeError",
-    "KernelConstants",
-    "MsquadError",
-    "ParseError",
-    "PeanoKernel",
-    "QuadResult",
-    "ReferenceConvergenceError",
-    "ReferenceResult",
-    "Rule",
-    "RuleComparison",
-    "SecantSlope",
-    "SlopeInconsistencyError",
-    "TaylorJet",
-    "UniformGrid",
-    "compare_rules",
-    "composite_bound_k6",
-    "composite_bounds",
-    "composite_modified_simpson",
-    "composite_simpson",
-    "convergence_study",
-    "corrected_midpoint_panel",
-    "derivatives",
-    "estimate_derivative_range",
-    "evaluate",
-    "expression_integrand",
-    "kernel",
-    "kernel_abs_integral",
-    "kernel_eval",
-    "kernel_eval_scaled",
-    "kernel_max_abs",
-    "kernel_moment",
-    "leading_error_estimate",
-    "midpoint_bounds",
-    "midpoint_panel",
-    "modified_simpson_panel",
-    "panel_bound_k6",
-    "panel_bounds",
-    "parse",
-    "reference_integral",
-    "scaled_constants",
-    "secant_slope",
-    "simpson_classic_bound",
-    "simpson_panel",
-    "to_string",
-    "unit_bounds",
-]
+# Each module's public names, stated once.
+_EXPORTS = {
+    "bounds": (
+        "BoundReport", "DerivativeRange", "SecantSlope", "composite_bound_k6",
+        "composite_bounds", "estimate_derivative_range", "midpoint_bounds",
+        "panel_bound_k6", "panel_bounds", "secant_slope", "simpson_classic_bound",
+        "unit_bounds",
+    ),
+    "errors": (
+        "DerivativeUnavailableError", "EvaluationError", "InvalidRangeError",
+        "MsquadError", "ParseError", "ReferenceConvergenceError",
+        "SlopeInconsistencyError",
+    ),
+    "expressions": ("Expression", "evaluate", "parse", "to_string"),
+    "integrand": ("Integrand", "Interval", "UniformGrid"),
+    "jets": ("TaylorJet", "derivatives", "expression_integrand"),
+    "kernels": (
+        "KernelConstants", "PeanoKernel", "kernel", "kernel_abs_integral", "kernel_eval",
+        "kernel_eval_scaled", "kernel_max_abs", "kernel_moment", "scaled_constants",
+    ),
+    "reference": (
+        "ConvergenceRow", "ConvergenceTable", "ReferenceResult", "RuleComparison",
+        "compare_rules", "convergence_study", "reference_integral",
+    ),
+    "rules": (
+        "QuadResult", "Rule", "composite_modified_simpson", "composite_simpson",
+        "corrected_midpoint_panel", "leading_error_estimate", "midpoint_panel",
+        "modified_simpson_panel", "simpson_panel",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # importing a submodule binds it here as well
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(__getattr__(_MODULE_OF[name]), name)
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -19,18 +19,8 @@ import re
 import sys
 from typing import Sequence, TextIO
 
-from .bounds import (
-    DerivativeRange,
-    composite_bound_k6,
-    composite_bounds,
-    estimate_derivative_range,
-    secant_slope,
-)
 from .errors import InvalidRangeError, MsquadError, ParseError
 from .integrand import Integrand, Interval, UniformGrid
-from .jets import expression_integrand
-from .kernels import KERNEL_ORDERS, kernel_eval
-from .reference import compare_rules, convergence_study, reference_integral
 from .rules import COMPOSITE_RULES, Rule, corrected_midpoint_panel, midpoint_panel
 
 _FORMATS = ("table", "csv", "json")
@@ -192,6 +182,8 @@ def _emit_grid(
 
 
 def _integrand(args: argparse.Namespace) -> Integrand:
+    from .jets import expression_integrand
+
     try:
         return expression_integrand(args.f, args.df)
     except ParseError as exc:
@@ -265,6 +257,8 @@ def _cmd_integrate(args: argparse.Namespace, out: TextIO) -> int:
     payload["value"] = sign * value
     payload["leading_error_estimate"] = estimate
     if args.reference:
+        from .reference import reference_integral
+
         try:
             ref = reference_integral(f, iv, args.tol)
         except ValueError as exc:  # the tolerance limit
@@ -276,6 +270,14 @@ def _cmd_integrate(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> int:
+    from .bounds import (
+        DerivativeRange,
+        composite_bound_k6,
+        composite_bounds,
+        estimate_derivative_range,
+        secant_slope,
+    )
+
     f = _integrand(args)
     if args.n < 1:
         raise _UsageError(f"-n: pair count must be >= 1, got {args.n}")
@@ -298,6 +300,8 @@ def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> int:
         return _EXIT_OK
 
     grid = UniformGrid(iv, args.n)
+    if not grid.h > 0:
+        raise _UsageError("-a/-b, -n: grid spacing (b - a)/(2n) underflows to 0")
     if args.lower is not None:
         if not (math.isfinite(args.lower) and math.isfinite(args.upper)):
             raise _UsageError("--lower and --upper must be finite")
@@ -344,6 +348,8 @@ def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_kernel(args: argparse.Namespace, out: TextIO) -> int:
+    from .kernels import KERNEL_ORDERS, kernel_eval
+
     if args.samples < 2:
         raise _UsageError(f"--samples: need at least 2, got {args.samples}")
     orders = (args.k,) if args.k is not None else KERNEL_ORDERS
@@ -357,6 +363,8 @@ def _cmd_kernel(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_converge(args: argparse.Namespace, out: TextIO) -> int:
+    from .reference import convergence_study
+
     f = _integrand(args)
     n_list = _parse_n_list(args.n_list)
     iv, _ = _normalized_limits(args)
@@ -375,6 +383,8 @@ def _cmd_converge(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
+    from .reference import compare_rules
+
     f = _integrand(args)
     n_list = _parse_n_list(args.n_list)
     iv, _ = _normalized_limits(args)

@@ -308,25 +308,30 @@ class Tracer:
 
     A value is a local or constant name, a number literal of the walker's,
     or an expression that ``let`` binds to a local.  Constants enter as
-    names bound to their exact values, so no user text reaches the source.
-    Negating a finite constant is exact, so it folds.  An expression already
-    bound is not bound again: the lines are straight-line, each name is
-    assigned once and every operation is deterministic, so the first binding
-    holds the value, or has raised the error, that a repeat would.  Nothing
-    else folds.
+    names bound to their exact values, so no user text reaches the source;
+    equal constants share a name (keyed on ``repr``, which tells -0.0 from
+    0.0).  Negating a finite constant is exact, so it folds.  An expression
+    already bound is not bound again, nor is a check already made emitted
+    again: the lines are straight-line, each name is assigned once and every
+    operation is deterministic, so the first line holds the value, or has
+    raised the error, that a repeat would.  Nothing else folds.
     """
 
     def __init__(self) -> None:
         self.lines: list[str] = []
         self.bound: dict[str, str] = {}  # source text -> the local bound to it
+        self.checked: set[str] = set()
+        self.named: dict[str, str] = {}  # repr of a constant -> its name
         self.constants: dict[str, float] = {}
         self.scope: dict = {"EvaluationError": EvaluationError, "Binary64": Binary64,
                             "fsum": math.fsum, **{fn: getattr(math, fn) for fn in FUNCTIONS}}
 
     def const(self, value: float) -> str:
-        name = f"k{len(self.constants)}"
-        self.constants[name] = self.scope[name] = value
-        return name
+        key = repr(value)
+        if key not in self.named:
+            self.named[key] = name = f"k{len(self.named)}"
+            self.constants[name] = self.scope[name] = value
+        return self.named[key]
 
     def known(self, v):
         """The value of ``v`` if it is a finite constant, else None: ``int()``
@@ -354,8 +359,11 @@ class Tracer:
         return f"fsum({_src(tuple(terms))})" if terms else 0.0
 
     def check(self, v, test: str, message: str) -> None:
-        self.lines.append(f"if {_operand(v)} {test} 0.0: "
-                          f"raise EvaluationError({message!r}.format({_src(v)}), x)")
+        line = (f"if {_operand(v)} {test} 0.0: "
+                f"raise EvaluationError({message!r}.format({_src(v)}), x)")
+        if line not in self.checked:
+            self.checked.add(line)
+            self.lines.append(line)
 
     def defer(self, walk, *args, size=None):
         """Emit one run-time call of ``walk`` on ``Binary64``, for a decision

@@ -234,10 +234,16 @@ def test_usage_errors_exit_one():
         ("integrate", "--f", "exp(x)", "-a", "inf", "-b", "inf"),
         ("integrate", "--f", "x", "-a=-1e308", "-b=1e308"),
         ("compare", "--f", "x", "-a", "1e308", "-b", "-1e308"),
+        ("bounds", "--f", "exp(x)", "-a", "0", "-b", "5e-324", "-k", "3"),
+        ("bounds", "--f", "exp(x)", "-a", "0", "-b", "5e-324", "-k", "6"),
+        ("bounds", "--f", "exp(x)", "-a", "0", "-b", "5e-324", "-k", "3",
+         "--lower", "1", "--upper", "1.1"),
+        ("bounds", "--f", "exp(x)", "-a", "0", "-b", "1e-300", "-k", "3", "-n", str(10**30)),
     ],
     ids=["tol-zero", "samples-3", "safety-below-1", "lower-nan", "upper-inf",
          "tol-nan", "safety-nan", "safety-inf", "a-nan", "b-inf", "both-inf",
-         "width-overflow", "reversed-width-overflow"],
+         "width-overflow", "reversed-width-overflow", "spacing-underflow",
+         "spacing-underflow-k6", "spacing-underflow-user-range", "spacing-underflow-huge-n"],
 )
 def test_out_of_range_options_are_one_line_usage_errors(argv):
     code, out, err = invoke(*argv)
@@ -491,3 +497,43 @@ def test_non_finite_jet_sum_is_a_non_finite_derivative():
     for f in ("x^-2", "1/x"):
         assert invoke("bounds", "--f", f, "-a", "-1", "-b", "1e-160", "-k", "2") == (
             2, "", "msquad: error: derivative of order 2 is non-finite (at x = 1e-160)\n")
+
+
+_BASE_MODULES = {"msquad", "msquad.cli", "msquad.errors", "msquad.integrand", "msquad.rules"}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["kernel", "-k", "4", "--samples", "3"], {"msquad.kernels"}),
+        (["integrate", "--f", "exp(x)", "-a", "0", "-b", "1"],
+         {"msquad.expressions", "msquad.jets"}),
+        (["integrate", "--f", "exp(x)", "-a", "0", "-b", "1", "--reference"],
+         {"msquad.expressions", "msquad.jets", "msquad.reference"}),
+        (["bounds", "--f", "exp(x)", "-a", "0", "-b", "1", "-k", "4"],
+         {"msquad.expressions", "msquad.jets", "msquad.bounds", "msquad.kernels"}),
+        (["converge", "--f", "exp(x)", "-a", "0", "-b", "1"],
+         {"msquad.expressions", "msquad.jets", "msquad.reference"}),
+        (["compare", "--f", "exp(x)", "-a", "0", "-b", "1"],
+         {"msquad.expressions", "msquad.jets", "msquad.reference"}),
+    ],
+    ids=["kernel", "integrate", "integrate-reference", "bounds", "converge", "compare"],
+)
+def test_each_subcommand_imports_only_what_it_runs(argv, loaded):
+    # a cold CLI run compiles every module it imports; the others cost nothing
+    code = ("import io, sys, msquad.cli; "
+            f"assert msquad.cli.run({argv!r}, out=io.StringIO()) == 0; "
+            "print(sorted(m for m in sys.modules if m.startswith('msquad')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{sorted(_BASE_MODULES | loaded)}\n"
+
+
+def test_bare_package_import_loads_no_module_until_used():
+    code = ("import sys, msquad; print(sorted(m for m in sys.modules if m.startswith('msquad'))); "
+            "print(msquad.jets.__name__, msquad.kernels.__name__)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['msquad']\nmsquad.jets msquad.kernels\n"

@@ -14,6 +14,7 @@ from msquad.expressions import (
     Tracer,
     Var,
     _MAX_DEPTH,
+    _value,
     compile_expression,
     compile_pair_terms,
     evaluate,
@@ -242,6 +243,18 @@ def test_tracer_binds_each_expression_once():
     assert tracer.let(f"{square} + {cube}") != tracer.let(f"{cube} + {square}")
     assert tracer.lines == [f"{square} = x ** 2", f"{cube} = x ** 3",
                             f"t2 = {square} + {cube}", f"t3 = {cube} + {square}"]
+
+
+def test_tracer_shares_equal_constants_and_checks():
+    tracer = Tracer()
+    result = _value(tracer, parse("x/(1+x^2)+1/(1+x^2)"), "x")
+    one = tracer.const(1.0)
+    assert tracer.const(-0.0) != tracer.const(0.0)
+    assert tracer.lines == [
+        "t0 = x ** 2", f"t1 = {one} + t0",
+        "if t1 == 0.0: raise EvaluationError('division by zero'.format(t1), x)",
+        "t3 = x / t1", f"t4 = {one} / t1", f"{result} = t3 + t4",
+    ]
 
 
 @settings(max_examples=400)

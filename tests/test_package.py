@@ -1,6 +1,45 @@
+import pytest
+
 import msquad
+
+# The public names as the package listed them when it imported every module
+# eagerly; the lazy table must keep exactly these.
+PUBLIC_NAMES = [
+    "BoundReport", "ConvergenceRow", "ConvergenceTable", "DerivativeRange",
+    "DerivativeUnavailableError", "EvaluationError", "Expression", "Integrand",
+    "Interval", "InvalidRangeError", "KernelConstants", "MsquadError", "ParseError",
+    "PeanoKernel", "QuadResult", "ReferenceConvergenceError", "ReferenceResult", "Rule",
+    "RuleComparison", "SecantSlope", "SlopeInconsistencyError", "TaylorJet",
+    "UniformGrid", "compare_rules", "composite_bound_k6", "composite_bounds",
+    "composite_modified_simpson", "composite_simpson", "convergence_study",
+    "corrected_midpoint_panel", "derivatives", "estimate_derivative_range", "evaluate",
+    "expression_integrand", "kernel", "kernel_abs_integral", "kernel_eval",
+    "kernel_eval_scaled", "kernel_max_abs", "kernel_moment", "leading_error_estimate",
+    "midpoint_bounds", "midpoint_panel", "modified_simpson_panel", "panel_bound_k6",
+    "panel_bounds", "parse", "reference_integral", "scaled_constants", "secant_slope",
+    "simpson_classic_bound", "simpson_panel", "to_string", "unit_bounds",
+]
 
 
 def test_all_exports_resolve():
     missing = [name for name in msquad.__all__ if not hasattr(msquad, name)]
     assert missing == []
+
+
+def test_public_names_are_unchanged():
+    assert msquad.__all__ == PUBLIC_NAMES
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from msquad import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'msquad' has no attribute 'no_such_name'"):
+        msquad.no_such_name
+
+
+def test_dir_lists_every_public_name():
+    assert set(msquad.__all__) <= set(dir(msquad))
