@@ -20,11 +20,10 @@ from them is flagged non-rigorous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .errors import EvaluationError, InvalidRangeError, SlopeInconsistencyError
-from .integrand import Integrand, Interval
+from .integrand import Integrand, Interval, _make
 from .kernels import kernel_abs_integral, kernel_max_abs, scaled_constants
 from .rules import _finite
 
@@ -43,24 +42,30 @@ def _pow(base: float, n: int) -> float:
         raise EvaluationError("error bound overflows") from None
 
 
-@dataclass(frozen=True)
-class DerivativeRange:
-    """Bracket [lower, upper] for f^(k) over the interval of interest."""
-
+class _RangeFields(NamedTuple):
     k: int
     lower: float
     upper: float
     provenance: Provenance = "user-supplied"
 
-    def __post_init__(self) -> None:
+
+class DerivativeRange(_RangeFields):
+    """Bracket [lower, upper] for f^(k) over the interval of interest."""
+
+    __slots__ = ()
+    _make = classmethod(_make)
+
+    def __new__(cls, *fields, **named) -> DerivativeRange:
+        rng = super().__new__(cls, *fields, **named)
         # Orders 2..5 feed the kernel bounds and 6 the sup-norm bound, but
         # the sampling estimator is useful down to order 1.
-        if not 1 <= self.k <= 6:
-            raise ValueError(f"derivative range order must be in 1..6, got {self.k}")
-        if self.lower > self.upper:
+        if not 1 <= rng.k <= 6:
+            raise ValueError(f"derivative range order must be in 1..6, got {rng.k}")
+        if rng.lower > rng.upper:
             raise InvalidRangeError(
-                f"lower bound {self.lower} exceeds upper bound {self.upper}"
+                f"lower bound {rng.lower} exceeds upper bound {rng.upper}"
             )
+        return rng
 
     @property
     def rigorous(self) -> bool:
@@ -75,8 +80,7 @@ class DerivativeRange:
         return max(abs(self.lower), abs(self.upper))
 
 
-@dataclass(frozen=True)
-class SecantSlope:
+class SecantSlope(NamedTuple):
     """Endpoint secant of f^(k): the mean value of f^(k+1).
 
     On the unit interval this is the plain difference
@@ -94,10 +98,7 @@ def secant_slope(f: Integrand, k: int, iv: Interval) -> SecantSlope:
     return SecantSlope(k=k, value=delta / iv.width)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """The bound family for one derivative order, plus their minimum."""
-
+class _ReportFields(NamedTuple):
     k: int
     range_bound: float
     lower_gap_bound: float
@@ -106,10 +107,19 @@ class BoundReport:
     best: float
     rigorous: bool
 
-    def __post_init__(self) -> None:
-        for bound in (self.range_bound, self.lower_gap_bound, self.upper_gap_bound,
-                      self.peano_classic):
+
+class BoundReport(_ReportFields):
+    """The bound family for one derivative order, plus their minimum."""
+
+    __slots__ = ()
+    _make = classmethod(_make)
+
+    def __new__(cls, *fields, **named) -> BoundReport:
+        report = super().__new__(cls, *fields, **named)
+        for bound in (report.range_bound, report.lower_gap_bound, report.upper_gap_bound,
+                      report.peano_classic):
             _finite(bound, "error bound")
+        return report
 
 
 def _check_pair(k: int, rng: DerivativeRange, slope: SecantSlope) -> tuple[float, float]:

@@ -204,6 +204,13 @@ def _normalized_limits(args: argparse.Namespace) -> tuple[Interval | None, float
         raise _UsageError(f"-a/-b: {exc}") from exc
 
 
+def _grid(iv: Interval, n: int) -> UniformGrid:
+    try:
+        return UniformGrid(iv, n)
+    except (ValueError, OverflowError) as exc:  # h underflows, or 2n is past the floats
+        raise _UsageError(f"-a/-b, -n: {exc}") from exc
+
+
 def _parse_n_list(text: str) -> list[int]:
     try:
         ns = [int(part) for part in text.split(",") if part.strip()]
@@ -247,7 +254,7 @@ def _cmd_integrate(args: argparse.Namespace, out: TextIO) -> int:
         value = corrected_midpoint_panel(f, iv)
         payload["n_pairs"] = 1
     else:
-        grid = UniformGrid(iv, args.n)
+        grid = _grid(iv, args.n)
         result = COMPOSITE_RULES[rule](f, grid)
         value = result.value
         if result.leading_error_estimate is not None:
@@ -299,9 +306,7 @@ def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> int:
         _emit_record(payload, args.format, out)
         return _EXIT_OK
 
-    grid = UniformGrid(iv, args.n)
-    if not grid.h > 0:
-        raise _UsageError("-a/-b, -n: grid spacing (b - a)/(2n) underflows to 0")
+    grid = _grid(iv, args.n)
     if args.lower is not None:
         if not (math.isfinite(args.lower) and math.isfinite(args.upper)):
             raise _UsageError("--lower and --upper must be finite")
@@ -370,6 +375,7 @@ def _cmd_converge(args: argparse.Namespace, out: TextIO) -> int:
     iv, _ = _normalized_limits(args)
     if iv is None:
         raise _UsageError("-a/-b: a convergence study needs a non-empty interval")
+    _grid(iv, n_list[-1])  # the finest grid, before the oracle runs
     table = convergence_study(Rule(args.rule), f, iv, n_list)
     rows = [[r.h, r.approx, r.abs_error] for r in table.rows]
     _emit_grid(
@@ -390,6 +396,7 @@ def _cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
     iv, _ = _normalized_limits(args)
     if iv is None:
         raise _UsageError("-a/-b: a rule comparison needs a non-empty interval")
+    _grid(iv, n_list[-1])  # the finest grid, before the oracle runs
     cmp = compare_rules(f, iv, n_list)
     rows = []
     for rs, rm, ratio in zip(cmp.simpson.rows, cmp.modified.rows, cmp.error_ratios):

@@ -30,8 +30,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import EvaluationError, ParseError
 
@@ -39,35 +38,29 @@ FUNCTIONS = ("exp", "log", "sin", "cos", "tan", "sqrt")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     arg: "Expression"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str
     left: "Expression"
     right: "Expression"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     fn: str
     arg: "Expression"
 

@@ -10,32 +10,42 @@ rules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import DerivativeUnavailableError, EvaluationError
 
 MAX_DERIVATIVE_ORDER = 6
 
 
-@dataclass(frozen=True)
-class Interval:
+def _make(cls, fields):
+    """``_make``, and so ``_replace``, of a record that checks its fields."""
+    return cls(*fields)
+
+
+class _IntervalFields(NamedTuple):
+    a: float
+    b: float
+
+
+class Interval(_IntervalFields):
     """Oriented integration interval with ``a < b``.
 
     Reversed intervals are rejected here; the CLI normalizes them by
     swapping the endpoints and negating the integral.
     """
 
-    a: float
-    b: float
+    __slots__ = ()
+    _make = classmethod(_make)
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+    def __new__(cls, *fields, **named) -> Interval:
+        iv = super().__new__(cls, *fields, **named)
+        if not (math.isfinite(iv.a) and math.isfinite(iv.b)):
             raise ValueError("interval endpoints must be finite")
-        if not self.a < self.b:
-            raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
-        if not math.isfinite(self.b - self.a):
-            raise ValueError(f"interval width b - a overflows, got [{self.a}, {self.b}]")
+        if not iv.a < iv.b:
+            raise ValueError(f"interval requires a < b, got [{iv.a}, {iv.b}]")
+        if not math.isfinite(iv.b - iv.a):
+            raise ValueError(f"interval width b - a overflows, got [{iv.a}, {iv.b}]")
+        return iv
 
     @property
     def width(self) -> float:
@@ -48,22 +58,30 @@ class Interval:
         return self.a + 0.5 * (self.b - self.a)
 
 
-@dataclass(frozen=True)
-class UniformGrid:
+class _GridFields(NamedTuple):
+    interval: Interval
+    n_pairs: int
+
+
+class UniformGrid(_GridFields):
     """Even partition of an interval into ``2 * n_pairs`` subintervals.
 
     Taking the pair count directly makes odd subinterval totals
     unrepresentable; the paired rules require them even.
     """
 
-    interval: Interval
-    n_pairs: int
+    __slots__ = ()
+    _make = classmethod(_make)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n_pairs, int) or isinstance(self.n_pairs, bool):
+    def __new__(cls, *fields, **named) -> UniformGrid:
+        grid = super().__new__(cls, *fields, **named)
+        if not isinstance(grid.n_pairs, int) or isinstance(grid.n_pairs, bool):
             raise ValueError("n_pairs must be an integer")
-        if self.n_pairs < 1:
-            raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs}")
+        if grid.n_pairs < 1:
+            raise ValueError(f"n_pairs must be >= 1, got {grid.n_pairs}")
+        if not grid.h > 0:
+            raise ValueError("grid spacing (b - a)/(2n) underflows to 0")
+        return grid
 
     @property
     def h(self) -> float:

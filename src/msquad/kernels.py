@@ -17,9 +17,8 @@ built from:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .integrand import Interval
 
@@ -79,8 +78,7 @@ _Q_POLYS: dict[int, tuple[Fraction, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class PeanoKernel:
+class PeanoKernel(NamedTuple):
     """One error kernel: exact branch coefficients plus its sign factor."""
 
     k: int
@@ -116,8 +114,7 @@ _B: dict[int, float] = {
 }
 
 
-@dataclass(frozen=True)
-class KernelConstants:
+class KernelConstants(NamedTuple):
     """Norm constants of one kernel and their width-2h panel rescalings."""
 
     k: int

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ReferenceConvergenceError
 from .integrand import Integrand, Interval, UniformGrid
@@ -56,8 +56,7 @@ ROUNDING_FLOOR = 1e-13  # composite errors below this sit on the fp floor
 PREASYMPTOTIC_CEILING = 1e-2
 
 
-@dataclass(frozen=True)
-class ReferenceResult:
+class ReferenceResult(NamedTuple):
     value: float
     est_abs_error: float
     subdivisions: int
@@ -191,16 +190,14 @@ def reference_integral(
     return ReferenceResult(value=value, est_abs_error=total_err, subdivisions=len(heap))
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     n_pairs: int
     h: float
     approx: float
     abs_error: float
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
+class ConvergenceTable(NamedTuple):
     """Grid-refinement errors for one rule and the fitted order.
 
     ``fitted_order`` is the least-squares slope of log(abs_error) against
@@ -281,8 +278,7 @@ def _study(
     )
 
 
-@dataclass(frozen=True)
-class RuleComparison:
+class RuleComparison(NamedTuple):
     """Per-grid errors of Simpson vs the corrected rule on identical grids."""
 
     simpson: ConvergenceTable

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DerivativeUnavailableError, EvaluationError
 from .integrand import Integrand, Interval, UniformGrid
@@ -38,8 +38,7 @@ class Rule(enum.Enum):
     MODIFIED_SIMPSON = "msimpson"
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     """Outcome of a composite rule application.
 
     ``leading_error_estimate`` (corrected Simpson rule only) is filled when

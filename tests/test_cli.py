@@ -239,11 +239,15 @@ def test_usage_errors_exit_one():
         ("bounds", "--f", "exp(x)", "-a", "0", "-b", "5e-324", "-k", "3",
          "--lower", "1", "--upper", "1.1"),
         ("bounds", "--f", "exp(x)", "-a", "0", "-b", "1e-300", "-k", "3", "-n", str(10**30)),
+        # 2n past the float range: the spacing cannot be computed
+        ("integrate", "--f", "exp(x)", "-a", "0", "-b", "1", "-n", str(10**400)),
+        ("converge", "--f", "exp(x)", "-a", "0", "-b", "1", "--n-list", f"2,{10**400}"),
     ],
     ids=["tol-zero", "samples-3", "safety-below-1", "lower-nan", "upper-inf",
          "tol-nan", "safety-nan", "safety-inf", "a-nan", "b-inf", "both-inf",
          "width-overflow", "reversed-width-overflow", "spacing-underflow",
-         "spacing-underflow-k6", "spacing-underflow-user-range", "spacing-underflow-huge-n"],
+         "spacing-underflow-k6", "spacing-underflow-user-range", "spacing-underflow-huge-n",
+         "pair-count-past-floats", "n-list-past-floats"],
 )
 def test_out_of_range_options_are_one_line_usage_errors(argv):
     code, out, err = invoke(*argv)
@@ -520,14 +524,16 @@ _BASE_MODULES = {"msquad", "msquad.cli", "msquad.errors", "msquad.integrand", "m
     ids=["kernel", "integrate", "integrate-reference", "bounds", "converge", "compare"],
 )
 def test_each_subcommand_imports_only_what_it_runs(argv, loaded):
-    # a cold CLI run compiles every module it imports; the others cost nothing
+    # a cold CLI run compiles every module it imports; the others cost nothing.
+    # The records are named tuples, so no run imports dataclasses (or inspect).
     code = ("import io, sys, msquad.cli; "
             f"assert msquad.cli.run({argv!r}, out=io.StringIO()) == 0; "
-            "print(sorted(m for m in sys.modules if m.startswith('msquad')))")
+            "print(sorted(m for m in sys.modules if m.startswith('msquad'))); "
+            "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{sorted(_BASE_MODULES | loaded)}\n"
+    assert proc.stdout == f"{sorted(_BASE_MODULES | loaded)}\n[]\n"
 
 
 def test_bare_package_import_loads_no_module_until_used():
@@ -537,3 +543,21 @@ def test_bare_package_import_loads_no_module_until_used():
                           env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['msquad']\nmsquad.jets msquad.kernels\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "-n", str(10**30)],
+    ["integrate", "--rule", "simpson", "-n", str(10**30)],
+    ["bounds", "-k", "3", "-n", str(10**30)],
+    ["converge", "--n-list", f"2,{10**30}"],
+    ["compare", "--n-list", f"2,{10**30}"],
+], ids=["integrate", "integrate-simpson", "bounds", "converge", "compare"])
+def test_underflowing_grid_spacing_fails_fast(argv):
+    # h = 1e-300/(2*1e30) is 0: the grid is rejected before any pair is summed
+    # or the oracle runs (these ran until killed when only bounds checked it)
+    proc = subprocess.run(
+        [sys.executable, "-m", "msquad.cli", *argv, "--f", "exp(x)", "-a", "0", "-b", "1e-300"],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "msquad: error: -a/-b, -n: grid spacing (b - a)/(2n) underflows to 0\n")

@@ -1,8 +1,12 @@
+import copy
 import math
+import pickle
 
 import pytest
 
-from msquad.errors import DerivativeUnavailableError, EvaluationError
+from msquad.bounds import BoundReport, DerivativeRange
+from msquad.errors import DerivativeUnavailableError, EvaluationError, InvalidRangeError
+from msquad.expressions import Var, parse
 from msquad.integrand import Integrand, Interval, UniformGrid
 
 
@@ -71,3 +75,61 @@ def test_math_domain_errors_are_wrapped():
     with pytest.raises(EvaluationError) as exc:
         f(-2.0)
     assert exc.value.abscissa == -2.0
+
+
+_UNIT = Interval(0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "cls, fields, bad, error",
+    [
+        (Interval, (0.0, 1.0), {"b": -1.0}, ValueError),
+        (Interval, (0.0, 1.0), {"a": -math.inf}, ValueError),
+        (UniformGrid, (_UNIT, 4), {"n_pairs": 0}, ValueError),
+        (UniformGrid, (_UNIT, 4), {"n_pairs": True}, ValueError),
+        # the spacing 5e-324/2 rounds to 0
+        (UniformGrid, (_UNIT, 4), {"interval": Interval(0.0, 5e-324), "n_pairs": 1},
+         ValueError),
+        (DerivativeRange, (4, -1.0, 1.0), {"lower": 2.0}, InvalidRangeError),
+        (DerivativeRange, (4, -1.0, 1.0), {"k": 7}, ValueError),
+        (BoundReport, (4, 1.0, 2.0, 3.0, 4.0, 1.0, True), {"peano_classic": math.inf},
+         EvaluationError),
+    ],
+    ids=["interval-reversed", "interval-infinite", "grid-zero-pairs", "grid-bool-pairs",
+         "grid-underflow", "range-reversed", "range-order", "report-overflow"],
+)
+def test_records_validate_on_every_construction_path(cls, fields, bad, error):
+    good = cls(*fields)
+    invalid = tuple(bad.get(name, value) for name, value in zip(cls._fields, fields))
+    raw = tuple.__new__(cls, invalid)  # the fields as stored, unchecked
+    paths = {
+        "constructor": lambda: cls(*invalid),
+        "keywords": lambda: cls(**dict(zip(cls._fields, invalid))),
+        "_make": lambda: cls._make(invalid),
+        "_replace": lambda: good._replace(**bad),
+        "copy": lambda: copy.copy(raw),
+        "pickle": lambda: pickle.loads(pickle.dumps(raw)),
+    }
+    for name, build in paths.items():
+        with pytest.raises(error):
+            build()
+            pytest.fail(f"{name} built {raw!r}")
+    assert pickle.loads(pickle.dumps(good)) == copy.copy(good) == good
+
+
+def test_records_are_immutable_named_tuples():
+    iv = Interval(0.0, 1.0)
+    assert repr(iv) == "Interval(a=0.0, b=1.0)"
+    assert repr(UniformGrid(iv, 2)) == "UniformGrid(interval=Interval(a=0.0, b=1.0), n_pairs=2)"
+    assert repr(DerivativeRange(4, -1.0, 1.0)) == (
+        "DerivativeRange(k=4, lower=-1.0, upper=1.0, provenance='user-supplied')")
+    assert repr(parse("-x^2")) == "Neg(arg=BinOp(op='^', left=Var(), right=Num(value=2.0)))"
+    # tuples: they unpack, index and compare equal to a plain tuple of their fields
+    a, b = iv
+    assert (a, b, iv[1]) == (0.0, 1.0, 1.0)
+    assert iv == (0.0, 1.0)
+    assert not Var()
+    with pytest.raises(AttributeError):
+        iv.a = 2.0
+    with pytest.raises(AttributeError):
+        iv.c = 2.0

@@ -402,7 +402,8 @@ def _composite_outcome(rule, f: Integrand, grid: UniformGrid):
 @given(EDGE_TREES, EDGE_LIMITS, EDGE_LIMITS, st.integers(1, 200),
        st.sampled_from([composite_simpson, composite_modified_simpson]))
 def test_fused_pair_loop_matches_streaming(tree, a, b, n, rule):
-    assume(a < b and math.isfinite(b - a))
+    # a grid whose spacing underflows to 0 is rejected when it is built
+    assume(a < b and math.isfinite(b - a) and (b - a) / (2 * n) > 0)
     fused, streaming = _fused_and_streaming(edge_text(tree))
     grid = UniformGrid(Interval(a, b), n)
     assert _composite_outcome(rule, fused, grid) == _composite_outcome(rule, streaming, grid)
@@ -423,7 +424,7 @@ def _term_hexes(terms) -> list:
 @given(EDGE_TREES, EDGE_LIMITS, EDGE_LIMITS, st.integers(1, 200), st.sampled_from(list(_PAIRS)))
 # a = -0.0: the first node is a + 0*h = +0.0, which -x*0 tells from -0.0
 @example(parse("-x*0"), -0.0, 1.0, 3, Rule.SIMPSON)
-@example(parse("-x*0"), -0.0, 5e-324, 1, Rule.MODIFIED_SIMPSON)
+@example(parse("-x*0"), -0.0, 2e-323, 1, Rule.MODIFIED_SIMPSON)  # h is subnormal
 # n = 1, and a last node that is b although a + 2*h is 0.18999999999999995
 @example(parse("x"), -1.13, 0.19, 1, Rule.MODIFIED_SIMPSON)
 def test_fused_pair_terms_match_the_checked_stream(tree, a, b, n, rule):
@@ -431,7 +432,7 @@ def test_fused_pair_terms_match_the_checked_stream(tree, a, b, n, rule):
     # stops at the first pair with a bad point value; the fused loop must
     # agree on every pair before it, and there raise or give a term that is
     # not finite, which is what sends the sum to the checked replay.
-    assume(a < b and math.isfinite(b - a))
+    assume(a < b and math.isfinite(b - a) and (b - a) / (2 * n) > 0)
     f = Integrand(compile_expression(tree))
     grid = UniformGrid(Interval(a, b), n)
     d, we, wm = _PAIRS[rule]
