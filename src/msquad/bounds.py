@@ -20,7 +20,8 @@ from them is flagged non-rigorous.
 from __future__ import annotations
 
 import math
-from typing import Literal, NamedTuple
+from itertools import chain
+from typing import Iterator, Literal, NamedTuple
 
 from .errors import EvaluationError, InvalidRangeError, SlopeInconsistencyError
 from .integrand import Integrand, Interval, _make
@@ -317,7 +318,9 @@ def estimate_derivative_range(
     the running min and max by golden-section search on the neighbouring
     sample brackets, then inflates the bracket about its midpoint by
     ``safety``.  The result is flagged ``sampled-estimate``: it is not a
-    rigorous enclosure.
+    rigorous enclosure.  Samples are streamed, keeping only the first
+    running min and max and their neighbours, so memory does not grow
+    with ``n_samples``.
 
     The polish stops once its bracket is within ``1e-6 * max(width, 1)``.
     Near a smooth interior extremum x* the value error is quadratic in the
@@ -340,15 +343,6 @@ def estimate_derivative_range(
     if safety == math.inf:
         raise ValueError("safety factor must be finite, got inf")
 
-    mid = 0.5 * (iv.a + iv.b)
-    rad = 0.5 * iv.width
-    # Chebyshev extrema points: cluster near the endpoints and hit them.
-    xs = [
-        mid + rad * math.cos(math.pi * i / (n_samples - 1))
-        for i in reversed(range(n_samples))
-    ]
-    xs[0], xs[-1] = iv.a, iv.b
-
     checked = f.derivative
     if f._pair_terms is None:
 
@@ -365,18 +359,40 @@ def estimate_derivative_range(
                 return checked(k, x)
             return value if math.isfinite(value) else checked(k, x)
 
-    values = [dk(x) for x in xs]
-    i_min = min(range(n_samples), key=values.__getitem__)
-    i_max = max(range(n_samples), key=values.__getitem__)
+    mid = 0.5 * (iv.a + iv.b)
+    rad = 0.5 * iv.width
+    last = n_samples - 1
+
+    def samples() -> Iterator[tuple[float, float]]:
+        """(x, f^(k)(x)) at Chebyshev extrema points, which cluster near the
+        endpoints and hit them, in increasing x."""
+        yield iv.a, dk(iv.a)
+        for i in range(last - 1, 0, -1):
+            x = mid + rad * math.cos(math.pi * i / last)
+            yield x, dk(x)
+        yield iv.b, dk(iv.b)
+
+    # The first running min and max, each with its neighbouring samples;
+    # an end sample is its own outer neighbour.
+    points = samples()
+    before = here = next(points)
+    low = high = None
+    for after in chain(points, [None]):
+        after = after or here
+        if low is None or here[1] < low[1][1]:
+            low = before, here, after
+        if high is None or here[1] > high[1][1]:
+            high = before, here, after
+        before, here = here, after
 
     tol = 1e-6 * max(iv.width, 1.0)
 
-    def bracket(i: int) -> tuple[float, float, float, float]:
-        lo, hi = max(i - 1, 0), min(i + 1, n_samples - 1)
-        return xs[lo], xs[hi], values[lo], values[hi]
+    def bracket(best: tuple) -> tuple[float, float, float, float]:
+        (x_lo, v_lo), _, (x_hi, v_hi) = best
+        return x_lo, x_hi, v_lo, v_hi
 
-    lo = _golden_polish(dk, *bracket(i_min), minimize=True, tol=tol)
-    hi = _golden_polish(dk, *bracket(i_max), minimize=False, tol=tol)
+    lo = _golden_polish(dk, *bracket(low), minimize=True, tol=tol)
+    hi = _golden_polish(dk, *bracket(high), minimize=False, tol=tol)
     lo, hi = min(lo, hi), max(lo, hi)
 
     centre = 0.5 * (lo + hi)

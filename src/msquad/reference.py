@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import ReferenceConvergenceError
 from .integrand import Integrand, Interval, UniformGrid
@@ -62,46 +62,80 @@ class ReferenceResult(NamedTuple):
     subdivisions: int
 
 
+def _samples(g: Callable[[float], float], centre: float, scale: float) -> list[float]:
+    """The 15 values of ``g`` on the G7/K15 nodes about ``centre``:
+    (below, above) at each node but the centre, outermost first, then the
+    centre."""
+    x0, x1, x2, x3, x4, x5, x6, _ = _XGK
+    return [
+        g(centre - scale * x0), g(centre + scale * x0),
+        g(centre - scale * x1), g(centre + scale * x1),
+        g(centre - scale * x2), g(centre + scale * x2),
+        g(centre - scale * x3), g(centre + scale * x3),
+        g(centre - scale * x4), g(centre + scale * x4),
+        g(centre - scale * x5), g(centre + scale * x5),
+        g(centre - scale * x6), g(centre + scale * x6),
+        g(centre),
+    ]
+
+
 def _kronrod_segment(
     f: Integrand, lo: float, hi: float
 ) -> tuple[float, float, float, float]:
     """One G7/K15 application on [lo, hi]: returns (value, error estimate,
     rounding floor, fixed floor).  The estimate is never below the floor;
-    the fixed floor is the floor where bisecting cannot lower it, else 0."""
+    the fixed floor is the floor where bisecting cannot lower it, else 0.
+
+    One sampler, :func:`_samples`, feeds both passes.  An expression
+    integrand samples its compiled function unchecked; if that raises, or
+    the 15 values do not sum to a finite number (as whenever one of them
+    is not finite), the checked ``f`` replays the samples in the same
+    order and alone decides the error.  A sum that overflows on finite
+    values only replays the same values.  The four sums of ``dqk15`` are
+    written out term by term, each a correctly rounded :func:`math.fsum`
+    over a literal tuple of its products, so no summation order shows."""
     scale = 0.5 * (hi - lo)
     centre = lo + scale
-    # (below, above) at each node but the centre, outermost first.  An
-    # expression integrand samples its compiled function unchecked; if that
-    # raises, or any of the 15 values is not finite, the checked f replays
-    # the samples in the same order and alone decides the error.
-    pairs = None
+    s = None
     if f._pair_terms is not None:
-        fn = f._fn
         try:
-            pairs = [(fn(centre - scale * x), fn(centre + scale * x)) for x in _XGK[:7]]
-            fc = fn(centre)
+            s = _samples(f._fn, centre, scale)
         except Exception:
-            pairs = None
-    if pairs is None or not math.isfinite(sum(map(sum, pairs)) + fc):
-        pairs = [(f(centre - scale * x), f(centre + scale * x)) for x in _XGK[:7]]
-        fc = f(centre)
-    if pairs.count((fc, fc)) == 7:
+            pass
+    if s is None or not math.isfinite(sum(s)):
+        s = _samples(f, centre, scale)
+    if s.count(s[14]) == 15:
         # flat samples: the embedded pair is exact, difference estimate is 0
-        return _finite(pairs[0][0] * (hi - lo), "reference value"), 0.0, 0.0, 0.0
+        return _finite(s[0] * (hi - lo), "reference value"), 0.0, 0.0, 0.0
 
-    resk = math.fsum([w * (a + b) for w, (a, b) in zip(_WGK, pairs)] + [_WGK[7] * fc])
-    resg = math.fsum([w * (a + b) for w, (a, b) in zip(_WG, pairs[1::2])] + [_WG[3] * fc])
+    a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, c = s
+    k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
+    g1, g3, g5, g7 = _WG  # the Gauss weights, named by Kronrod node
+    resk = math.fsum((
+        k0 * (a0 + b0), k1 * (a1 + b1), k2 * (a2 + b2), k3 * (a3 + b3),
+        k4 * (a4 + b4), k5 * (a5 + b5), k6 * (a6 + b6), k7 * c,
+    ))
+    resg = math.fsum((g1 * (a1 + b1), g3 * (a3 + b3), g5 * (a5 + b5), g7 * c))
     value = resk * scale
 
     reskh = 0.5 * resk
-    absk = math.fsum(
-        [w * (abs(a) + abs(b)) for w, (a, b) in zip(_WGK, pairs)] + [_WGK[7] * abs(fc)]
-    )
+    absk = math.fsum((
+        k0 * (abs(a0) + abs(b0)), k1 * (abs(a1) + abs(b1)),
+        k2 * (abs(a2) + abs(b2)), k3 * (abs(a3) + abs(b3)),
+        k4 * (abs(a4) + abs(b4)), k5 * (abs(a5) + abs(b5)),
+        k6 * (abs(a6) + abs(b6)), k7 * abs(c),
+    ))
     resabs = absk * abs(scale)
-    resasc = math.fsum(
-        [w * (abs(a - reskh) + abs(b - reskh)) for w, (a, b) in zip(_WGK, pairs)]
-        + [_WGK[7] * abs(fc - reskh)]
-    ) * abs(scale)
+    resasc = math.fsum((
+        k0 * (abs(a0 - reskh) + abs(b0 - reskh)),
+        k1 * (abs(a1 - reskh) + abs(b1 - reskh)),
+        k2 * (abs(a2 - reskh) + abs(b2 - reskh)),
+        k3 * (abs(a3 - reskh) + abs(b3 - reskh)),
+        k4 * (abs(a4 - reskh) + abs(b4 - reskh)),
+        k5 * (abs(a5 - reskh) + abs(b5 - reskh)),
+        k6 * (abs(a6 - reskh) + abs(b6 - reskh)),
+        k7 * abs(c - reskh),
+    )) * abs(scale)
 
     err = abs(resk - resg) * abs(scale)
     if resasc != 0.0 and err != 0.0:
@@ -156,9 +190,11 @@ def reference_integral(
         # float is a whole number of those units, so ``exact``, ``floored``
         # and ``fixed`` are the heap's sums of them without rounding.  An
         # error is never below its floor, so ``exact == floored`` only when
-        # every error is its floor.
+        # every error is its floor.  A fixed floor is the floor or 0.0, so
+        # its units are the floor's or 0.
         value, err, floor, fixed_floor = _kronrod_segment(f, iv.a, iv.b)
-        exact, floored, fixed = _units(err), _units(floor), _units(fixed_floor)
+        floored = _units(floor)
+        exact, fixed = _units(err), floored if fixed_floor else 0
         heap = [(-err, 0, iv.a, iv.b, value, exact, floored, fixed)]
         counter = 1
         while True:
@@ -179,7 +215,8 @@ def reference_integral(
             mid = lo + 0.5 * (hi - lo)
             for a, b in ((lo, mid), (mid, hi)):
                 v, err, floor, fixed_floor = _kronrod_segment(f, a, b)
-                e, fl, fx = _units(err), _units(floor), _units(fixed_floor)
+                fl = _units(floor)
+                e, fx = _units(err), fl if fixed_floor else 0
                 heapq.heappush(heap, (-err, counter, a, b, v, e, fl, fx))
                 exact, floored, fixed = exact + e, floored + fl, fixed + fx
                 counter += 1

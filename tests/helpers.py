@@ -4,10 +4,11 @@ Everything here is deliberately independent of the library code paths it
 checks: exact rational arithmetic for the rule formulas and kernel
 integrals, hand-coded symbolic derivatives for the corpus functions,
 Richardson-extrapolated finite differences, a tree differentiator for
-the expression AST, and a tree walker in mpmath arithmetic.  The edge-case
-trees and the compile corpora at the end drive the properties that compare
-compiled code with the tree walks and with the golden digests of an
-earlier, separately written compiler.
+the expression AST, a tree walker in mpmath arithmetic, and a kept copy
+of the list-based G7/K15 segment formula the oracle's unrolled sums must
+match bit for bit.  The edge-case trees and the compile corpora at the
+end drive the properties that compare compiled code with the tree walks
+and with the golden digests of an earlier, separately written compiler.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from hypothesis import strategies as st
 
 from msquad.expressions import BinOp, Call, Const, Expression, Neg, Num, Var, to_string
 from msquad.integrand import Integrand
+from msquad.reference import _EPS, _WG, _WGK
+from msquad.rules import _finite
 
 F = Fraction
 
@@ -113,6 +116,50 @@ def exact_simpson_composite(
             + poly_eval(coeffs, a + (j + 1) * h)
         )
     return h / 3 * total
+
+
+# -- one G7/K15 segment, list by list ------------------------------------------
+
+
+def dqk15_reference(
+    samples: Sequence[float], lo: float, hi: float
+) -> tuple[float, float, float, float]:
+    """(value, error estimate, rounding floor, fixed floor) of one G7/K15
+    segment on [lo, hi] from its 15 samples, in sampling order: (below,
+    above) at each node but the centre, outermost first, then the centre.
+
+    The formula is the list-based one the oracle used before its sums were
+    written out term by term, kept as it was so the two can be compared bit
+    for bit; only the sampling is replaced by ``samples``.
+    """
+    pairs = [(samples[2 * i], samples[2 * i + 1]) for i in range(7)]
+    fc = samples[14]
+    if pairs.count((fc, fc)) == 7:
+        # flat samples: the embedded pair is exact, difference estimate is 0
+        return _finite(pairs[0][0] * (hi - lo), "reference value"), 0.0, 0.0, 0.0
+
+    scale = 0.5 * (hi - lo)
+    resk = math.fsum([w * (a + b) for w, (a, b) in zip(_WGK, pairs)] + [_WGK[7] * fc])
+    resg = math.fsum([w * (a + b) for w, (a, b) in zip(_WG, pairs[1::2])] + [_WG[3] * fc])
+    value = resk * scale
+
+    reskh = 0.5 * resk
+    absk = math.fsum(
+        [w * (abs(a) + abs(b)) for w, (a, b) in zip(_WGK, pairs)] + [_WGK[7] * abs(fc)]
+    )
+    resabs = absk * abs(scale)
+    resasc = math.fsum(
+        [w * (abs(a - reskh) + abs(b - reskh)) for w, (a, b) in zip(_WGK, pairs)]
+        + [_WGK[7] * abs(fc - reskh)]
+    ) * abs(scale)
+
+    err = abs(resk - resg) * abs(scale)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    floor = 50.0 * _EPS * resabs
+    err = max(err, floor)
+    fixed = floor if absk == abs(resk) else 0.0
+    return _finite(value, "reference value"), _finite(err, "reference value"), floor, fixed
 
 
 # -- corpus with hand-coded symbolic derivatives ------------------------------

@@ -1,10 +1,12 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import CORPUS, EDGE_LIMITS, EDGE_TREES, edge_text, outcome
+from msquad import bounds
 from msquad.bounds import (
     DerivativeRange,
     SecantSlope,
@@ -303,6 +305,58 @@ def test_estimator_polish_stops_at_float_spacing(a, b):
     samples = [-math.cos(a + (b - a) * i / 64) for i in range(65)]
     assert rng.lower <= min(samples) and max(samples) <= rng.upper
     assert -1.1 <= rng.lower and rng.upper <= 1.1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]), min_size=8, max_size=40))
+def test_estimator_polishes_around_the_first_extrema(values):
+    """The polish brackets are the neighbours of the first sample holding
+    the minimum and of the first holding the maximum, an end sample being
+    its own outer neighbour: what ``min``/``max`` over the list of all
+    samples give, ties and signed zeros included."""
+    xs = []
+
+    def provider(order, x):
+        xs.append(x)
+        return values[len(xs) - 1]
+
+    polished = []
+
+    def polish(fn, lo, hi, f_lo, f_hi, minimize, tol):
+        polished.append((lo, hi, f_lo, f_hi))
+        return f_lo
+
+    n = len(values)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds, "_golden_polish", polish)
+        estimate_derivative_range(Integrand(math.sin, provider, max_order=6), 2, UNIT, n)
+    assert len(xs) == n
+
+    def bracket(i):
+        lo, hi = max(i - 1, 0), min(i + 1, n - 1)
+        return xs[lo], xs[hi], values[lo], values[hi]
+
+    i_min = min(range(n), key=values.__getitem__)
+    i_max = max(range(n), key=values.__getitem__)
+    assert polished == [bracket(i_min), bracket(i_max)]
+
+
+def test_estimator_memory_is_flat_in_the_sample_count():
+    """Samples stream through the running min and max: peak traced memory at
+    20,001 samples is within a small constant of the peak at 2,001."""
+    f = expression_integrand("x^3")
+    estimate_derivative_range(f, 3, UNIT, n_samples=2001)  # compile the jet first
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            estimate_derivative_range(f, 3, UNIT, n_samples=n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2001), peak(20_001)
+    assert large - small < 4096, (small, large)  # a list of 20,001 floats is ~640 kB
 
 
 def test_estimator_validation():

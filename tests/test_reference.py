@@ -6,10 +6,19 @@ from types import SimpleNamespace
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import msquad.reference
-from helpers import CORPUS, EDGE_LIMITS, EDGE_TREES, edge_text, poly_integrand, ulp_distance
+from helpers import (
+    CORPUS,
+    EDGE_LIMITS,
+    EDGE_TREES,
+    dqk15_reference,
+    edge_text,
+    outcome,
+    poly_integrand,
+    ulp_distance,
+)
 from msquad.cli import run
 from msquad.errors import EvaluationError, ReferenceConvergenceError
 from msquad.expressions import compile_expression, parse
@@ -175,6 +184,70 @@ def test_kronrod_segment_matches_dqk15():
             if name == "x18":  # K15 is exact here, G7 is not
                 assert abs(value - 2.0 / 19.0) <= 1e-15
                 assert abs(resk - resg) > 1e-3
+
+
+# Sample values for the bitwise segment check: both zeros, subnormals, the
+# normal range and values near the float maximum.  Vectors of the large ones
+# make fsum raise (OverflowError past the maximum, ValueError on inf - inf)
+# and make the sum of the samples non-finite.
+_LARGE_SAMPLES = st.sampled_from([8.9e307, -8.9e307, 1.7e308, -1.7e308, 0.0, 1.0])
+_SAMPLE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]),
+    _LARGE_SAMPLES,
+    st.floats(-1e6, 1e6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# node positions on [-1, 1] in sampling order
+_NODE_T = [side * x for x in _XGK[:7] for side in (-1.0, 1.0)] + [0.0]
+_SAMPLE_VECTORS = st.one_of(
+    st.builds(lambda v: [v] * 15, _SAMPLE),  # flat
+    # smooth: the difference estimate is small, so dqk15's power law sets the error
+    st.builds(lambda r, c: [c * math.exp(r * t) for t in _NODE_T], st.floats(-30, 30),
+              st.floats(-1e3, 1e3)),
+    st.lists(st.floats(-10, 10), min_size=1, max_size=24).map(
+        lambda cs: [math.fsum(c * t**i for i, c in enumerate(cs)) for t in _NODE_T]
+    ),
+    st.lists(_SAMPLE, min_size=15, max_size=15).map(lambda s: [abs(v) for v in s]),
+    st.lists(_SAMPLE, min_size=15, max_size=15).map(lambda s: [-abs(v) for v in s]),
+    st.lists(_SAMPLE, min_size=15, max_size=15),  # mixed signs
+    st.lists(_LARGE_SAMPLES, min_size=15, max_size=15),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@example([8.9e307] * 14 + [1.7e308], 0.0, 1.0, True)  # fsum: intermediate overflow
+@example([1.7e308] * 2 + [-1.7e308] * 2 + [0.0] * 11, 0.0, 1.0, True)  # fsum: -inf + inf
+@example([-0.0] * 14 + [0.0], -1.0, 2.0, False)  # flat: the zeros compare equal
+@given(
+    _SAMPLE_VECTORS,
+    st.floats(-1e3, 1e3),
+    st.sampled_from([1e-300, 1e-3, 1.0, 2.0, 1e3, 1e300]),
+    st.booleans(),
+)
+def test_kronrod_segment_is_bitwise_the_list_formula(samples, lo, width, unchecked):
+    """The unrolled segment against the list-based dqk15 formula, on the
+    same 15 samples: the same bits or the same exception.  An unchecked
+    pass (as for an expression integrand) whose samples sum past the float
+    maximum replays them through the checked ``f``, which must change
+    nothing."""
+    hi = lo + width
+    calls = []
+
+    def script(x):
+        calls.append(x)
+        return samples[(len(calls) - 1) % 15]
+
+    f = Integrand(script)
+    if unchecked:
+        f._pair_terms = object()  # mark ``_fn`` as sampled unchecked
+    got = outcome(lambda seg: _kronrod_segment(f, *seg), (lo, hi))
+    assert got == outcome(lambda seg: dqk15_reference(samples, *seg), (lo, hi))
+    scale = 0.5 * (hi - lo)
+    centre = lo + scale
+    nodes = [centre + side * scale * x for x in _XGK[:7] for side in (-1.0, 1.0)]
+    assert calls[:15] == [*nodes, centre]
+    replayed = unchecked and not math.isfinite(sum(samples))
+    assert len(calls) == (30 if replayed else 15)
 
 
 # -- the running error total ---------------------------------------------------
