@@ -4,7 +4,8 @@ Subcommands: ``integrate`` (apply a rule), ``bounds`` (error-bound
 report), ``kernel`` (sample the error kernels to CSV), ``converge``
 (grid-refinement study) and ``compare`` (Simpson vs corrected rule).
 
-Exit codes: 0 success, 1 usage error, 2 evaluation or convergence error.
+Exit codes: 0 success, 1 usage error (or stdout closed early, as by
+``| head``), 2 evaluation or convergence error.
 Reversed limits (a > b) are normalized by swapping and negating before
 anything reaches the library; a zero-width interval short-circuits to
 zero integrals and zero bounds.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import json
+import os
 import re
 import sys
 from typing import Sequence, TextIO
@@ -27,6 +29,8 @@ _FORMATS = ("table", "csv", "json")
 _EXIT_OK = 0
 _EXIT_USAGE = 1
 _EXIT_EVAL = 2
+# ``bounds --samples``: a million order-k jets take seconds, 1e11 take days.
+_MAX_SAMPLES = 1_000_000
 
 
 class _UsageError(Exception):
@@ -90,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upper", type=float,
                    help="rigorous upper bound for f^(k) on [a, b]")
     p.add_argument("--samples", type=int, default=129,
-                   help="sample count for the range estimator")
+                   help=f"sample count for the range estimator (8 to {_MAX_SAMPLES})")
     p.add_argument("--safety", type=float, default=1.05,
                    help="bracket inflation factor for estimated ranges")
 
@@ -315,6 +319,8 @@ def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> int:
         rng = DerivativeRange(k=k, lower=args.lower, upper=args.upper,
                               provenance="user-supplied")
     else:
+        if args.samples > _MAX_SAMPLES:
+            raise _UsageError(f"--samples: at most {_MAX_SAMPLES}, got {args.samples}")
         try:
             rng = estimate_derivative_range(
                 f, k, iv, n_samples=args.samples, safety=args.safety
@@ -446,7 +452,16 @@ def run(
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # The reader went away (``msquad ... | head``).  Point stdout at
+        # devnull so that the flush at exit cannot fail again, and exit 1
+        # without a traceback, as the Python docs advise for SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections import Counter
 from typing import Callable, NamedTuple, Union
 
 from .errors import EvaluationError, ParseError
@@ -292,6 +293,14 @@ def _infix(op: str):
     return lambda self, a, b: _Expr(f"{_operand(a)} {op} {_operand(b)}")
 
 
+# A traced temporary (no other name in traced source ends in "t" and digits),
+# and source that may move to where it is used: + - * (binary or unary) and
+# parentheses on names and number literals, so no name before a "(" (a call)
+# and no "**".
+_TEMP = re.compile(r"t[0-9]+\b")
+_ARITHMETIC = re.compile(r"(?:[\w.]+(?![\w.(])|\*(?!\*)|[ ()+-])*")
+
+
 def _call(fn: str):
     return lambda self, a: f"{fn}({_src(a)})"
 
@@ -307,7 +316,10 @@ class Tracer:
     already bound is not bound again, nor is a check already made emitted
     again: the lines are straight-line, each name is assigned once and every
     operation is deterministic, so the first line holds the value, or has
-    raised the error, that a repeat would.  Nothing else folds.
+    raised the error, that a repeat would.  Nothing else folds.  When the
+    lines become a function, a temporary used once whose definition only
+    adds, subtracts, multiplies or negates is inlined at its use (see
+    ``_block``), and the scope's constants and functions are its locals.
     """
 
     def __init__(self) -> None:
@@ -370,15 +382,36 @@ class Tracer:
         return names
 
     def _block(self, indent: int, last: str) -> str:
-        return "".join(f"{' ' * indent}{line}\n" for line in (*self.lines, last))
+        """The lines, then ``last``, indented.  A temporary used once whose
+        definition only adds, subtracts, multiplies or negates is inlined,
+        parenthesised, where it is used: on floats none of these raises, so
+        the same line raises the same error, and the same operations run in
+        the same order."""
+        lines = (*self.lines, last)
+        uses = Counter(_TEMP.findall("\n".join(lines)))  # a definition is one
+        inline: dict[str, str] = {}  # defined, not yet used
+        out = []
+        for line in lines:
+            if inline:
+                line = _TEMP.sub(lambda m: inline.pop(m[0], m[0]), line)
+            name, _, src = line.partition(" = ")
+            if uses[name] == 2 and _ARITHMETIC.fullmatch(src):
+                inline[name] = f"({src})"
+            else:
+                out.append(f"{' ' * indent}{line}\n")
+        return "".join(out)
 
-    def _define(self, source: str, filename: str) -> Callable:
-        exec(compile(source, filename, "exec"), self.scope)
+    def _define(self, params: str, body: str, filename: str) -> Callable:
+        """The function ``f(params)`` running ``body``.  Each name of the
+        scope that ``body`` contains is a default argument, so the body reads
+        it as a local rather than a global."""
+        header = ", ".join([params, *(f"{n}={n}" for n in self.scope if n in body)])
+        exec(compile(f"def f({header}):\n{body}", filename, "exec"), self.scope)
         return self.scope["f"]
 
     def function(self, result, overflow: str, filename: str) -> Callable:
         """A function of ``x`` running the lines; OverflowError becomes ``overflow``."""
-        return self._define(f"def f(x):\n    try:\n{self._block(8, f'return {_src(result)}')}"
+        return self._define("x", f"    try:\n{self._block(8, f'return {_src(result)}')}"
                             "    except OverflowError:\n"
                             f"        raise EvaluationError({overflow!r}, x) from None\n",
                             filename)
@@ -393,7 +426,7 @@ class Tracer:
         def at(indent, name):
             return self._block(indent, f"{name} = {_src(result)}")
 
-        return self._define(f"def f(a, b, h, m, c, we, wm):\n    x = a + 0 * h\n{at(4, 'fa')}"
+        return self._define("a, b, h, m, c, we, wm", f"    x = a + 0 * h\n{at(4, 'fa')}"
                             "    for j in range(2, m + 1, 2):\n"
                             f"        x = a + (j - 1) * h\n{at(8, 'fm')}"
                             f"        x = a + j * h if j < m else b\n{at(8, 'fb')}"
@@ -411,8 +444,10 @@ def evaluate(node: Expression, x: float) -> float:
 
 def compile_expression(node: Expression) -> Callable[[float], float]:
     """Compile the tree once into a function of ``x`` that returns and
-    raises what :func:`evaluate` does, at a fraction of the cost per point.
-    Compiling never raises: an error belongs to the point that makes it."""
+    raises what :func:`evaluate` does, at a fraction of the cost per point:
+    one line per operation, but single-use arithmetic inlined into the line
+    that uses it (see :class:`Tracer`).  Compiling never raises: an error
+    belongs to the point that makes it."""
     tracer = Tracer()
     return tracer.function(_value(tracer, node, "x"), _OVERFLOW, "<msquad expression>")
 
@@ -470,4 +505,6 @@ def _power(A, base, expo):
     n = _exponent(A, base, e)
     if n is None:
         return A.let(A.exp(A.mul(expo, A.log(base))))
-    return A.let(A.pow(base, n))
+    # one product is correctly rounded, where pow may be off by an ulp; a
+    # longer chain of products rounds more often than pow does
+    return A.let(A.mul(base, base) if n == 2 else A.pow(base, n))

@@ -487,14 +487,43 @@ BENCH_FAMILIES = (
 )
 
 
-def compiled_digests() -> dict[str, dict[str, str]]:
+def square_as_product(text: str) -> str:
+    """``text`` with each ``u^2`` rewritten to ``(u)*(u)``: every power whose
+    exponent does not contain ``x`` and evaluates to 2 (``x^--2`` and
+    ``x^(2*1)`` among them), however deeply nested."""
+    from msquad.expressions import evaluate, parse
+
+    def has_var(node) -> bool:
+        kids = (getattr(node, kid) for kid in ("arg", "left", "right") if hasattr(node, kid))
+        return isinstance(node, Var) or any(map(has_var, kids))
+
+    def rewrite(node):
+        if isinstance(node, BinOp):
+            left, right = rewrite(node.left), rewrite(node.right)
+            if node.op == "^" and not has_var(right) and evaluate(right, 0.0) == 2.0:
+                return BinOp("*", left, left)
+            return BinOp(node.op, left, right)
+        if isinstance(node, Neg):
+            return Neg(rewrite(node.arg))
+        if isinstance(node, Call):
+            return Call(node.fn, rewrite(node.arg))
+        return node
+
+    tree = parse(text)
+    new = rewrite(tree)
+    return text if new == tree else to_string(new)
+
+
+def compiled_digests(rewrite: Callable[[str], str] | None = None) -> dict[str, dict[str, str]]:
     """Per expression, sha256 digests of what its compiled value function
     returns or raises over ``VALUE_GRID`` and what its compiled jet does
-    over ``JET_GRID`` (NaNs as one marker, see :func:`outcome`).
+    over ``JET_GRID`` (NaNs as one marker, see :func:`outcome`); each text
+    is first passed through ``rewrite`` when one is given.
 
     ``tests/data/compiled_golden.json`` holds these digests as computed by
     an earlier release's compilers, which were written independently of
-    the tree walks; the command that made it is recorded in the file.
+    the tree walks, on the texts rewritten by :func:`square_as_product`;
+    the command that made it is recorded in the file.
     """
     import hashlib
 
@@ -507,7 +536,7 @@ def compiled_digests() -> dict[str, dict[str, str]]:
 
     out = {}
     for text in dict.fromkeys(VALUE_CORPUS + JET_CORPUS + BENCH_FAMILIES):
-        tree = parse(text)
+        tree = parse(rewrite(text) if rewrite is not None else text)
         out[text] = {
             "value": digest(compile_expression(tree), VALUE_GRID, False),
             "jet": digest(compile_jet(tree), JET_GRID, True),

@@ -445,6 +445,27 @@ def test_console_script_entry_point():
     assert "value" in proc.stdout
 
 
+def test_stdout_closed_early_exits_1_without_a_traceback():
+    # The kernel table (about 0.5 MB) outgrows the pipe's buffer, so the
+    # child is still writing when the reader closes the pipe after 100 bytes.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "msquad.cli", "kernel", "--samples", "5000", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+def test_bounds_samples_above_the_limit_is_a_usage_error():
+    # 1e11 order-3 jets would take days; the estimator is never started
+    assert invoke("bounds", "--f", "x^3", "-a", "0", "-b", "1", "-k", "3",
+                  "--samples", "100000000000") == (
+        1, "", "msquad: error: --samples: at most 1000000, got 100000000000\n")
+
+
 def test_cli_import_does_not_load_numpy():
     # numpy alone costs about as much as the rest of a cold start
     proc = subprocess.run(

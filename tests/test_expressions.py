@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -251,7 +253,7 @@ def test_tracer_shares_equal_constants_and_checks():
     one = tracer.const(1.0)
     assert tracer.const(-0.0) != tracer.const(0.0)
     assert tracer.lines == [
-        "t0 = x ** 2", f"t1 = {one} + t0",
+        "t0 = x * x", f"t1 = {one} + t0",
         "if t1 == 0.0: raise EvaluationError('division by zero'.format(t1), x)",
         "t3 = x / t1", f"t4 = {one} / t1", f"{result} = t3 + t4",
     ]
@@ -263,3 +265,60 @@ def test_compiled_matches_walk_bitwise(tree, xs):
     fn = compile_expression(tree)  # compiling never raises: errors belong to points
     for x in xs:
         assert outcome(fn, x) == outcome(lambda v: evaluate(tree, v), x)
+
+
+# -- squares -----------------------------------------------------------------
+
+
+def _point_ways(text: str) -> dict:
+    """Each way to get the value of ``text`` at one point: the walk, the
+    compiled function, the compiled pair loop (a pair term whose end weights
+    are 0 is its midpoint value) and the value coefficients of both jets."""
+    tree = parse(text)
+    fn, terms, jet = compile_expression(tree), compile_pair_terms(tree), compile_jet(tree)
+    return {"evaluate": lambda x: evaluate(tree, x), "compiled": fn,
+            "pair terms": lambda x: list(terms(x, x, 0.0, 2, 1.0, 0.0, 1.0))[0],
+            "jet": lambda x: jet(x)[0], "derivatives": lambda x: derivatives(tree, x).value}
+
+
+_SQUARE, _PRODUCT = _point_ways("x^2"), _point_ways("x*x")
+
+
+def test_square_is_correctly_rounded_where_pow_is_not():
+    # seeded points of [-10, 10] where libm's pow(x, 2) is off by an ulp
+    # (about 0.085% of them with glibc), and one such point found beforehand
+    rng = random.Random(17)
+    xs = (rng.uniform(-10.0, 10.0) for _ in range(100_000))
+    for x in [float.fromhex("0x1.38827bdc114d0p+2"), *(x for x in xs if x ** 2 != x * x)]:
+        want = float(Fraction(x) ** 2)
+        assert {way: fn(x) for way, fn in _SQUARE.items()} == dict.fromkeys(_SQUARE, want), x
+
+
+@settings(max_examples=300)
+@given(st.floats())
+@example(0.0)
+@example(-0.0)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(1e200)
+@example(-1e200)
+def test_square_behaves_as_a_product(x):
+    for way, fn in _SQUARE.items():
+        assert outcome(fn, x, any_nan=True) == outcome(_PRODUCT[way], x, any_nan=True), way
+
+
+@pytest.mark.parametrize("text, want", [
+    ("x^2", math.inf), ("-x^2", -math.inf), ("exp(-x^2)", 0.0), ("1/(1+x^2)", 0.0),
+])
+def test_square_of_a_large_value_is_infinite_not_an_error(text, want):
+    # as x*x at 1e200 already is: only pow raises OverflowError
+    tree = parse(text)
+    assert evaluate(tree, 1e200) == compile_expression(tree)(1e200) == want
+
+
+def test_other_integer_powers_still_raise_on_overflow():
+    tree = parse("x^3")
+    for fn in (lambda x: evaluate(tree, x), compile_expression(tree)):
+        with pytest.raises(EvaluationError, match="overflow during evaluation"):
+            fn(1e200)
