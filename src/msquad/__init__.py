@@ -24,8 +24,7 @@ _EXPORTS = {
     "bounds": (
         "BoundReport", "DerivativeRange", "SecantSlope", "composite_bound_k6",
         "composite_bounds", "estimate_derivative_range", "midpoint_bounds",
-        "panel_bound_k6", "panel_bounds", "secant_slope", "simpson_classic_bound",
-        "unit_bounds",
+        "secant_slope", "simpson_classic_bound",
     ),
     "errors": (
         "DerivativeUnavailableError", "EvaluationError", "InvalidRangeError",
@@ -35,10 +34,7 @@ _EXPORTS = {
     "expressions": ("Expression", "evaluate", "parse", "to_string"),
     "integrand": ("Integrand", "Interval", "UniformGrid"),
     "jets": ("TaylorJet", "derivatives", "expression_integrand"),
-    "kernels": (
-        "KernelConstants", "PeanoKernel", "kernel", "kernel_abs_integral", "kernel_eval",
-        "kernel_eval_scaled", "kernel_max_abs", "kernel_moment", "scaled_constants",
-    ),
+    "kernels": ("KernelConstants", "PeanoKernel", "kernel", "kernel_eval", "scaled_constants"),
     "reference": (
         "ConvergenceRow", "ConvergenceTable", "ReferenceResult", "RuleComparison",
         "compare_rules", "convergence_study", "reference_integral",

@@ -9,8 +9,9 @@ the endpoint secant of the next-lower derivative:
 
 plus the classic Peano bound C_k * max(|gamma|, |Gamma|) for comparison.
 ``range_bound`` never exceeds the classic bound and equals it only for
-ranges symmetric about zero.  Panel and composite variants rescale by
-powers of the grid spacing; order 6 has a sup-norm-only bound.
+ranges symmetric about zero.  :func:`composite_bounds` applies the family
+over a composite grid, k = 2..5; order 6 has the sup-norm-only
+:func:`composite_bound_k6`.
 
 Ranges may be user-supplied (rigorous) or sampled by
 :func:`estimate_derivative_range`, in which case every report derived
@@ -25,7 +26,7 @@ from typing import Iterator, Literal, NamedTuple
 
 from .errors import EvaluationError, InvalidRangeError, SlopeInconsistencyError
 from .integrand import Integrand, Interval, _make
-from .kernels import kernel_abs_integral, kernel_max_abs, scaled_constants
+from .kernels import scaled_constants
 from .rules import _finite
 
 # Slack for the mean-value consistency check: the secant is a difference
@@ -62,6 +63,8 @@ class DerivativeRange(_RangeFields):
         # the sampling estimator is useful down to order 1.
         if not 1 <= rng.k <= 6:
             raise ValueError(f"derivative range order must be in 1..6, got {rng.k}")
+        if math.isnan(rng.lower) or math.isnan(rng.upper):
+            raise InvalidRangeError(f"range endpoint is NaN: [{rng.lower}, {rng.upper}]")
         if rng.lower > rng.upper:
             raise InvalidRangeError(
                 f"lower bound {rng.lower} exceeds upper bound {rng.upper}"
@@ -148,57 +151,15 @@ def _check_pair(k: int, rng: DerivativeRange, slope: SecantSlope) -> tuple[float
     return max(0.0, s - rng.lower), max(0.0, rng.upper - s)
 
 
-def _report(
-    k: int,
-    rng: DerivativeRange,
-    slope: SecantSlope,
-    l1_scale: float,
-    sup_scale: float,
-) -> BoundReport:
-    lower_gap, upper_gap = _check_pair(k, rng, slope)
-    range_bound = 0.5 * rng.width * l1_scale
-    lower_gap_bound = lower_gap * sup_scale
-    upper_gap_bound = upper_gap * sup_scale
-    peano_classic = rng.sup_abs * l1_scale
-    return BoundReport(
-        k=k,
-        range_bound=range_bound,
-        lower_gap_bound=lower_gap_bound,
-        upper_gap_bound=upper_gap_bound,
-        peano_classic=peano_classic,
-        best=min(range_bound, lower_gap_bound, upper_gap_bound, peano_classic),
-        rigorous=rng.rigorous,
-    )
-
-
-def unit_bounds(k: int, rng: DerivativeRange, slope: SecantSlope) -> BoundReport:
-    """Bounds for the rule error on the unit interval, k = 2..5."""
-    return _report(k, rng, slope, kernel_abs_integral(k), kernel_max_abs(k))
-
-
-def panel_bounds(k: int, rng: DerivativeRange, slope: SecantSlope, h: float) -> BoundReport:
-    """Bounds for a single width-2h panel, k = 2..5.
-
-    The unit constants rescale to ``D_k h^(k+1)`` and ``E_k h^(k+1)``;
-    a panel of width 1 (h = 1/2) collapses back to the unit bounds.
-    """
-    if not h > 0:
-        raise ValueError(f"grid spacing must be positive, got {h}")
-    kc = scaled_constants(k)
-    hk1 = _pow(h, k + 1)
-    assert kc.e is not None
-    return _report(k, rng, slope, kc.d * hk1, kc.e * hk1)
-
-
 def composite_bounds(
     k: int, rng: DerivativeRange, slope: SecantSlope, h: float, length: float
 ) -> BoundReport:
-    """Bounds for the composite rule over an interval of width ``length``.
+    """Bounds for the composite rule over an interval of width ``length``, k = 2..5.
 
     The range and secant refer to the whole interval.  ``length`` must be
-    an even multiple of ``h`` (the grid pattern); the result is the panel
-    report scaled by the pair count, so a one-pair composite reproduces
-    :func:`panel_bounds` bitwise.
+    an even multiple of ``h`` (the grid pattern).  Each width-2h panel gets
+    the unit bounds rescaled to ``D_k h^(k+1)`` and ``E_k h^(k+1)``, and the
+    result is that panel report times the pair count.
     """
     if not h > 0:
         raise ValueError(f"grid spacing must be positive, got {h}")
@@ -209,25 +170,14 @@ def composite_bounds(
         raise ValueError(
             f"length {length} is not an even multiple of the spacing h = {h}"
         )
-    per_panel = panel_bounds(k, rng, slope, h)
-    return BoundReport(
-        k=k,
-        range_bound=n * per_panel.range_bound,
-        lower_gap_bound=n * per_panel.lower_gap_bound,
-        upper_gap_bound=n * per_panel.upper_gap_bound,
-        peano_classic=n * per_panel.peano_classic,
-        best=n * per_panel.best,
-        rigorous=per_panel.rigorous,
-    )
-
-
-def panel_bound_k6(sup_f6: float, h: float) -> float:
-    """Sup-norm panel bound for order 6: ``D_6 * ||f^(6)|| * h^7``."""
-    if sup_f6 < 0:
-        raise ValueError(f"sup norm must be non-negative, got {sup_f6}")
-    if not h > 0:
-        raise ValueError(f"grid spacing must be positive, got {h}")
-    return scaled_constants(6).d * sup_f6 * _pow(h, 7)
+    kc = scaled_constants(k)
+    hk1 = _pow(h, k + 1)
+    lower_gap, upper_gap = _check_pair(k, rng, slope)
+    l1_scale, sup_scale = kc.d * hk1, kc.e * hk1
+    # one panel's range, lower-gap, upper-gap and classic bounds
+    panel = (0.5 * rng.width * l1_scale, lower_gap * sup_scale, upper_gap * sup_scale,
+             rng.sup_abs * l1_scale)
+    return BoundReport(k, *(n * bound for bound in panel), n * min(panel), rng.rigorous)
 
 
 def composite_bound_k6(sup_f6: float, h: float, length: float) -> float:
@@ -397,6 +347,8 @@ def estimate_derivative_range(
 
     centre = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo) * safety
+    if half == math.inf:  # an infinite centre would give inf - inf = NaN
+        centre = 0.0
     return DerivativeRange(
         k=k, lower=centre - half, upper=centre + half, provenance="sampled-estimate"
     )

@@ -31,6 +31,9 @@ _EXIT_USAGE = 1
 _EXIT_EVAL = 2
 # ``bounds --samples``: a million order-k jets take seconds, 1e11 take days.
 _MAX_SAMPLES = 1_000_000
+# ``kernel --samples``: every row is built before it prints, so 1e6 rows
+# already take seconds and most of a gigabyte, and 1e11 exhaust memory.
+_MAX_KERNEL_SAMPLES = 100_000
 
 
 class _UsageError(Exception):
@@ -102,7 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="sample the error kernels on [0, 1]")
     p.add_argument("-k", type=int, choices=range(2, 7),
                    help="dump a single kernel instead of all five")
-    p.add_argument("--samples", type=int, default=101)
+    p.add_argument("--samples", type=int, default=101,
+                   help=f"sample count on [0, 1] (2 to {_MAX_KERNEL_SAMPLES})")
 
     p = sub.add_parser("converge", parents=[expr, limits, fmt],
                        help="grid-refinement study for one composite rule")
@@ -363,6 +367,8 @@ def _cmd_kernel(args: argparse.Namespace, out: TextIO) -> int:
 
     if args.samples < 2:
         raise _UsageError(f"--samples: need at least 2, got {args.samples}")
+    if args.samples > _MAX_KERNEL_SAMPLES:
+        raise _UsageError(f"--samples: at most {_MAX_KERNEL_SAMPLES}, got {args.samples}")
     orders = (args.k,) if args.k is not None else KERNEL_ORDERS
     columns = ["x"] + [f"T_{k}" for k in orders]
     rows = []

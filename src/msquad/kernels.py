@@ -9,9 +9,11 @@ on binary64, and exposes the sharp norm constants the error bounds are
 built from:
 
 - ``C_k`` -- L1 norm of ``T_k`` on [0, 1]
-- ``B_k`` -- sup norm of ``T_k`` on [0, 1] (tabulated for k <= 5 only)
+- ``B_k`` -- sup norm of ``T_k`` on [0, 1]
 - ``D_k = 2^(k+1) C_k`` and ``E_k = 2^(k+1) B_k`` -- the same constants
   rescaled to a width-2h panel.
+
+:func:`scaled_constants` returns all four for one order.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
-
-from .integrand import Interval
 
 KERNEL_ORDERS = (2, 3, 4, 5, 6)
 
@@ -111,6 +111,8 @@ _B: dict[int, float] = {
     3: 7.0 / 20250.0 + 19.0 * _SQRT19 / 81000.0,
     4: 1.0 / 5760.0,
     5: 1.0 / 58320.0,
+    # T_6 >= 0 rises on [0, 1/2] and is even about 1/2, so it peaks there.
+    6: 1.0 / 230400.0,
 }
 
 
@@ -120,8 +122,8 @@ class KernelConstants(NamedTuple):
     k: int
     c: float
     d: float
-    b: float | None
-    e: float | None
+    b: float
+    e: float
 
 
 def _check_order(k: int) -> None:
@@ -159,54 +161,6 @@ def kernel_eval(k: int, x: float) -> float:
     return (-1) ** k * _horner(_LEFT_F[k], 1.0 - x)
 
 
-def kernel_eval_scaled(k: int, t: float, iv: Interval) -> float:
-    """Evaluate the kernel rescaled to ``iv``: ``(b-a)^k * T_k((t-a)/(b-a))``.
-
-    The normalization makes ``integral_a^b T~_k f^(k)`` reproduce the
-    corrected-rule error on ``[a, b]`` exactly.
-    """
-    _check_order(k)
-    if not iv.a <= t <= iv.b:
-        raise ValueError(f"argument {t!r} outside interval [{iv.a}, {iv.b}]")
-    u = (t - iv.a) / iv.width
-    u = min(max(u, 0.0), 1.0)
-    return iv.width**k * kernel_eval(k, u)
-
-
-def kernel_abs_integral(k: int) -> float:
-    """Closed-form L1 norm ``C_k`` of ``T_k`` on [0, 1]."""
-    _check_order(k)
-    return _C[k]
-
-
-def kernel_max_abs(k: int) -> float:
-    """Closed-form sup norm ``B_k``; tabulated for k = 2..5 only."""
-    _check_order(k)
-    if k not in _B:
-        raise ValueError(f"no closed-form sup norm is tabulated for k = {k}")
-    return _B[k]
-
-
-def kernel_moment(k: int, j: int) -> float:
-    """``integral_0^1 T_k(x) x^j dx`` by exact piecewise integration.
-
-    Zero for j = 0, k = 2..5 and for all monomial degrees j <= 5 - k
-    when k = 2, 3, 4; for k = 6 the moment of order 0 is +C_6 (the
-    kernel does not change sign).
-    """
-    _check_order(k)
-    if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j <= 6:
-        raise ValueError(f"moment degree must be an integer in 0..6, got {j!r}")
-    ker = _KERNELS[k]
-    half, one = _F(1, 2), _F(1)
-    total = _F(0)
-    for poly, lo, hi in ((ker.left_poly, _F(0), half), (ker.right_poly, half, one)):
-        for i, c in enumerate(poly):
-            p = i + j + 1
-            total += c * (hi**p - lo**p) / p
-    return float(ker.sign * total)
-
-
 def scaled_constants(k: int) -> KernelConstants:
     """``(C_k, B_k, D_k, E_k)`` with ``D_k = 2^(k+1) C_k``, ``E_k = 2^(k+1) B_k``.
 
@@ -215,12 +169,5 @@ def scaled_constants(k: int) -> KernelConstants:
     """
     _check_order(k)
     scale = float(2 ** (k + 1))
-    c = _C[k]
-    b = _B.get(k)
-    return KernelConstants(
-        k=k,
-        c=c,
-        d=scale * c,
-        b=b,
-        e=None if b is None else scale * b,
-    )
+    c, b = _C[k], _B[k]
+    return KernelConstants(k=k, c=c, d=scale * c, b=b, e=scale * b)

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from msquad.expressions import BinOp, Call, Const, Expression, Neg, Num, Var, to_string
 from msquad.integrand import Integrand
+from msquad.kernels import kernel
 from msquad.reference import _EPS, _WG, _WGK
 from msquad.rules import _finite
 
@@ -56,6 +57,17 @@ def poly_integral(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction) -> Fra
     for i, c in enumerate(coeffs):
         total += c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
     return total
+
+
+def exact_branch_integral(k: int, j: int) -> Fraction:
+    """Integral of T_k(x) x^j over [0, 1] by Fraction antiderivatives of the
+    kernel's exact branch polynomials."""
+    ker = kernel(k)
+    total = F(0)
+    for poly, lo, hi in ((ker.left_poly, F(0), F(1, 2)), (ker.right_poly, F(1, 2), F(1))):
+        shifted = (F(0),) * j + tuple(poly)
+        total += poly_integral(shifted, lo, hi)
+    return ker.sign * total
 
 
 def poly_integrand(coeffs: Sequence[float], name: str = "poly") -> Integrand:

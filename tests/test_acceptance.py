@@ -10,6 +10,7 @@ from fractions import Fraction as F
 
 from helpers import (
     CORPUS,
+    exact_branch_integral,
     exact_modified_simpson_error,
     poly_integral,
     poly_integrand,
@@ -20,23 +21,13 @@ from msquad.bounds import (
     composite_bounds,
     estimate_derivative_range,
     midpoint_bounds,
-    panel_bound_k6,
-    panel_bounds,
     secant_slope,
     simpson_classic_bound,
-    unit_bounds,
 )
 from msquad.integrand import Integrand, Interval, UniformGrid
 from msquad.jets import derivatives
 from msquad.expressions import parse
-from msquad.kernels import (
-    KERNEL_ORDERS,
-    kernel_abs_integral,
-    kernel_eval,
-    kernel_max_abs,
-    kernel_moment,
-    scaled_constants,
-)
+from msquad.kernels import KERNEL_ORDERS, kernel_eval, scaled_constants
 from msquad.reference import convergence_study, reference_integral
 from msquad.rules import (
     Rule,
@@ -136,18 +127,17 @@ def test_criterion_4_exactness_suite():
 def test_criterion_5_kernel_constants():
     failures = []
     for k in KERNEL_ORDERS:
-        ck = kernel_abs_integral(k)
-        scaled = Integrand(lambda x, _k=k, _c=ck: abs(kernel_eval(_k, x)) / _c)
+        kc = scaled_constants(k)
+        scaled = Integrand(lambda x, _k=k, _c=kc.c: abs(kernel_eval(_k, x)) / _c)
         got = reference_integral(scaled, UNIT, tol=1e-12).value
         if abs(got - 1.0) > 1e-9:
             failures.append(f"C_{k}: quadrature off by {abs(got - 1.0):.2e}")
-        kc = scaled_constants(k)
         if kc.d != 2 ** (k + 1) * kc.c:
             failures.append(f"D_{k} != 2^{k + 1} C_{k}")
-        if k <= 5 and kc.e != 2 ** (k + 1) * kc.b:
+        if kc.e != 2 ** (k + 1) * kc.b:
             failures.append(f"E_{k} != 2^{k + 1} B_{k}")
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    for k in (2, 3, 4, 5):
+    for k in KERNEL_ORDERS:
         m = 4001
         xs = [i / (m - 1) for i in range(m)]
         vals = [abs(kernel_eval(k, x)) for x in xs]
@@ -160,7 +150,8 @@ def test_criterion_5_kernel_constants():
             else:
                 a = c
         polished = max(abs(kernel_eval(k, a)), abs(kernel_eval(k, b)), vals[i_best])
-        if abs(polished - kernel_max_abs(k)) / kernel_max_abs(k) > 1e-8:
+        b_k = scaled_constants(k).b
+        if abs(polished - b_k) / b_k > 1e-8:
             failures.append(f"B_{k}: sampled max {polished!r} != closed form")
     check(5, "kernel L1/sup norms match closed forms; 2^(k+1) scalings exact", failures)
 
@@ -168,18 +159,18 @@ def test_criterion_5_kernel_constants():
 def test_criterion_6_moments_and_remainder():
     failures = []
     for k in (2, 3, 4, 5):
-        if abs(kernel_moment(k, 0)) > 1e-15:
+        if exact_branch_integral(k, 0) != 0:
             failures.append(f"zero-mean violated for k={k}")
     for k in (2, 3, 4):
         for j in range(0, 5 - k + 1):
-            if abs(kernel_moment(k, j)) > 1e-15:
+            if exact_branch_integral(k, j) != 0:
                 failures.append(f"orthogonality violated for k={k}, j={j}")
     rng = random.Random(868)
     for trial in range(20):
         coeffs = [rng.uniform(-3.0, 3.0) for _ in range(7)]
         exact = exact_modified_simpson_error([F(c) for c in coeffs], F(0), F(1))
         # degree-6 integrand: f^(6) is constant, the representation is a moment
-        via_kernel = 720.0 * coeffs[6] * kernel_moment(6, 0)
+        via_kernel = 720.0 * coeffs[6] * float(exact_branch_integral(6, 0))
         if abs(via_kernel - float(exact)) > 1e-13:
             failures.append(f"trial {trial}: remainder identity off by "
                             f"{abs(via_kernel - float(exact)):.2e}")
@@ -197,6 +188,7 @@ def test_criterion_7_bound_validity():
         }
         slopes = {k: secant_slope(f, k - 1, UNIT) for k in (2, 3, 4, 5)}
         sup6 = ranges[6].sup_abs
+        # n = 1 is the single panel on [0, 1] (h = 1/2), so its bounds are the unit ones
         for n in (1, 2, 4, 8):
             grid = UniformGrid(UNIT, n)
             err = abs(reference - composite_modified_simpson(f, grid).value)
@@ -206,6 +198,7 @@ def test_criterion_7_bound_validity():
                     ("range", rep.range_bound),
                     ("lower-gap", rep.lower_gap_bound),
                     ("upper-gap", rep.upper_gap_bound),
+                    ("best", rep.best),
                 ):
                     if err > bound:
                         failures.append(
@@ -213,14 +206,6 @@ def test_criterion_7_bound_validity():
                         )
             if err > composite_bound_k6(sup6, grid.h, 1.0):
                 failures.append(f"{fn.name} n={n}: error above k=6 composite bound")
-            if n == 1:
-                for k in (2, 3, 4, 5):
-                    rep = panel_bounds(k, ranges[k], slopes[k], grid.h)
-                    unit = unit_bounds(k, ranges[k], slopes[k])
-                    if err > rep.best or err > unit.best:
-                        failures.append(f"{fn.name} k={k}: panel/unit bound violated")
-                if err > panel_bound_k6(sup6, grid.h):
-                    failures.append(f"{fn.name}: k=6 panel bound violated")
         # the quarter-form coefficient beats the classic Simpson constant
         h = 0.25
         corrected = composite_bounds(4, ranges[4], slopes[4], h, 1.0).range_bound

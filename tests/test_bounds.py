@@ -8,22 +8,20 @@ from hypothesis import assume, given, settings, strategies as st
 from helpers import CORPUS, EDGE_LIMITS, EDGE_TREES, edge_text, outcome
 from msquad import bounds
 from msquad.bounds import (
+    BoundReport,
     DerivativeRange,
     SecantSlope,
     composite_bound_k6,
     composite_bounds,
     estimate_derivative_range,
     midpoint_bounds,
-    panel_bound_k6,
-    panel_bounds,
     secant_slope,
     simpson_classic_bound,
-    unit_bounds,
 )
 from msquad.errors import EvaluationError, InvalidRangeError, SlopeInconsistencyError
 from msquad.integrand import Integrand, Interval, UniformGrid
 from msquad.jets import expression_integrand
-from msquad.kernels import kernel_abs_integral, scaled_constants
+from msquad.kernels import scaled_constants
 from msquad.reference import reference_integral
 from msquad.rules import composite_modified_simpson, modified_simpson_panel
 
@@ -34,6 +32,11 @@ EXP = Integrand.from_callables(math.exp, *[math.exp] * 6)
 def true_panel_error(f: Integrand, iv: Interval) -> float:
     ref = reference_integral(f, iv, tol=1e-13).value
     return ref - modified_simpson_panel(f, iv)
+
+
+def unit_bounds(k: int, rng: DerivativeRange, slope: SecantSlope) -> BoundReport:
+    """The one-pair composite on [0, 1]: a single panel with h = 1/2."""
+    return composite_bounds(k, rng, slope, 0.5, 1.0)
 
 
 # -- unit-interval bounds --------------------------------------------------------
@@ -52,14 +55,14 @@ def test_unit_bounds_exp_plugin():
     rng = DerivativeRange(2, 1.0, math.e)
     slope = SecantSlope(1, math.e - 1.0)
     report = unit_bounds(2, rng, slope)
-    expected = (math.e - 1.0) / 2.0 * kernel_abs_integral(2)
+    expected = (math.e - 1.0) / 2.0 * scaled_constants(2).c
     assert report.range_bound == pytest.approx(expected, rel=1e-15)
     assert report.range_bound == pytest.approx(7.028e-3, rel=1e-3)
     err = abs(true_panel_error(EXP, UNIT))
     assert err <= report.range_bound
     assert err <= report.lower_gap_bound
     assert err <= report.upper_gap_bound
-    assert report.peano_classic == pytest.approx(math.e * kernel_abs_integral(2), rel=1e-15)
+    assert report.peano_classic == pytest.approx(math.e * scaled_constants(2).c, rel=1e-15)
     assert report.range_bound <= report.peano_classic
 
 
@@ -76,9 +79,17 @@ def test_unit_bounds_sin_plugin():
 def test_unit_bounds_validation():
     with pytest.raises(InvalidRangeError):
         DerivativeRange(2, 2.0, 1.0)
+    # a NaN end has sup_abs 0.0, which would make a zero bound look rigorous
+    for lower, upper in ((0.0, math.nan), (math.nan, 1.0), (math.nan, math.nan)):
+        with pytest.raises(InvalidRangeError, match="NaN"):
+            DerivativeRange(4, lower, upper)
+    # infinite ends are kept: a bound built from them overflows
+    rng = DerivativeRange(6, 0.0, math.inf)
+    with pytest.raises(EvaluationError, match="^error bound overflows$"):
+        composite_bound_k6(rng.sup_abs, 0.25, 1.0)
     with pytest.raises(SlopeInconsistencyError):
         unit_bounds(2, DerivativeRange(2, 0.0, 1.0), SecantSlope(1, 5.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bound order must be in 2..5, got 6$"):
         unit_bounds(6, DerivativeRange(6, 0.0, 1.0), SecantSlope(5, 0.5))
     with pytest.raises(ValueError):
         unit_bounds(3, DerivativeRange(3, 0.0, 1.0), SecantSlope(1, 0.5))
@@ -95,18 +106,20 @@ def test_ulp_noise_on_tight_ranges_is_clamped():
 
 
 def test_panel_of_width_one_collapses_to_unit_bounds():
+    # h = 1/2: the rescaled constants are the unit ones, bit for bit
     kc = scaled_constants(4)
-    assert kc.d * 0.5**5 == kernel_abs_integral(4)
+    assert kc.d * 0.5**5 == kc.c and kc.e * 0.5**5 == kc.b
     rng = DerivativeRange(4, -1.0, 2.0)
     slope = SecantSlope(3, 0.25)
-    assert panel_bounds(4, rng, slope, 0.5) == unit_bounds(4, rng, slope)
+    unit = (0.5 * 3.0 * kc.c, 1.25 * kc.b, 1.75 * kc.b, 2.0 * kc.c)
+    assert unit_bounds(4, rng, slope) == BoundReport(4, *unit, min(unit), True)
 
 
 def test_panel_bounds_exp_validity():
     iv = Interval(-1.0, 1.0)
     rng = DerivativeRange(2, 1.0 / math.e, math.e)
     slope = secant_slope(EXP, 1, iv)
-    report = panel_bounds(2, rng, slope, 1.0)
+    report = composite_bounds(2, rng, slope, 1.0, 2.0)
     expected = 0.5 * (math.e - 1.0 / math.e) * scaled_constants(2).d
     assert report.range_bound == pytest.approx(expected, rel=1e-15)
     err = abs(true_panel_error(EXP, iv))
@@ -115,20 +128,21 @@ def test_panel_bounds_exp_validity():
 
 
 def test_panel_bounds_constant_fifth_derivative():
-    report = panel_bounds(5, DerivativeRange(5, 3.0, 3.0), SecantSlope(4, 3.0), 0.7)
+    report = composite_bounds(5, DerivativeRange(5, 3.0, 3.0), SecantSlope(4, 3.0), 0.7, 1.4)
     assert report.range_bound == 0.0 and report.best == 0.0
 
 
 def test_panel_bound_k6_with_tight_monomial():
-    bound = panel_bound_k6(720.0, 1.0)
+    # one pair: composite_bound_k6(s, h, 2h) is the panel bound D_6 s h^7
+    bound = composite_bound_k6(720.0, 1.0, 2.0)
     true = 16.0 / 105.0  # exact panel error of x^6 on [-1, 1]
     assert bound == pytest.approx(true, rel=1e-15)
     assert bound >= true * (1.0 - 1e-15)
-    assert panel_bound_k6(0.0, 2.0) == 0.0
-    assert panel_bound_k6(math.e, 1.0) == pytest.approx(math.e / 4725.0, rel=1e-15)
-    assert panel_bound_k6(math.e, 1.0) >= 2.206e-4
+    assert composite_bound_k6(0.0, 2.0, 4.0) == 0.0
+    assert composite_bound_k6(math.e, 1.0, 2.0) == pytest.approx(math.e / 4725.0, rel=1e-15)
+    assert composite_bound_k6(math.e, 1.0, 2.0) >= 2.206e-4
     with pytest.raises(ValueError):
-        panel_bound_k6(-1.0, 1.0)
+        composite_bound_k6(-1.0, 1.0, 2.0)
 
 
 def test_composite_coefficient_matches_quarter_form():
@@ -138,13 +152,21 @@ def test_composite_coefficient_matches_quarter_form():
     report = composite_bounds(4, rng, slope, 0.125, 2.0)
     expected = 2.0 * (upper - gamma) / 3645.0 * 0.125**4 * 2.0
     assert report.range_bound == pytest.approx(expected, rel=1e-14)
+    # eight pairs: best is the least of the composite bounds, not of one panel's
+    assert report.best == min(report.range_bound, report.lower_gap_bound,
+                              report.upper_gap_bound, report.peano_classic)
 
 
 def test_composite_single_pair_reproduces_panel_bitwise():
+    # one pair multiplies the panel bounds D_3 h^4 and E_3 h^4 by exactly 1.0
     rng = DerivativeRange(3, -0.5, 1.5)
     slope = SecantSlope(2, 0.3)
     h = 0.3
-    assert composite_bounds(3, rng, slope, h, 2.0 * h) == panel_bounds(3, rng, slope, h)
+    kc = scaled_constants(3)
+    l1, sup = kc.d * h**4, kc.e * h**4
+    panel = (0.5 * 2.0 * l1, (0.3 - -0.5) * sup, (1.5 - 0.3) * sup, 1.5 * l1)
+    assert composite_bounds(3, rng, slope, h, 2.0 * h) == BoundReport(
+        3, *panel, min(panel), True)
 
 
 def test_composite_bounds_validity_for_gauss():
@@ -200,16 +222,17 @@ def test_overflowing_power_is_an_evaluation_error():
     # float ** int raises OverflowError where a product would give inf
     h = 5e59
     rng, slope = DerivativeRange(5, 0.0, 0.0), SecantSlope(4, 0.0)
-    for bound in (lambda: panel_bounds(5, rng, slope, h),
-                  lambda: composite_bounds(5, rng, slope, h, 2 * h),
-                  lambda: panel_bound_k6(0.0, h),
+    # the power is checked before the slope: an inconsistent one still overflows
+    for bound in (lambda: composite_bounds(5, rng, slope, h, 2 * h),
+                  lambda: composite_bounds(5, rng, SecantSlope(4, 1.0), h, 2 * h),
                   lambda: composite_bound_k6(0.0, h, 2 * h),
                   lambda: midpoint_bounds(0.0, 0.0, 1e103),
                   lambda: midpoint_bounds(0.0, 0.0, 1e62),
                   lambda: simpson_classic_bound(0.0, 1e78, 1.0)):
         with pytest.raises(EvaluationError, match="^error bound overflows$"):
             bound()
-    assert panel_bounds(4, DerivativeRange(4, 0.0, 0.0), SecantSlope(3, 0.0), h).best == 0.0
+    assert composite_bounds(4, DerivativeRange(4, 0.0, 0.0), SecantSlope(3, 0.0), h,
+                            2 * h).best == 0.0
 
 
 @pytest.mark.parametrize("fn", CORPUS, ids=lambda c: c.name)
@@ -252,6 +275,14 @@ def test_estimator_exact_with_unit_safety_on_monotone_derivative():
     rng = estimate_derivative_range(EXP, 2, UNIT, n_samples=257, safety=1.0)
     assert rng.lower == pytest.approx(1.0, abs=1e-12)
     assert rng.upper == pytest.approx(math.e, abs=1e-12)
+
+
+def test_estimator_inflation_past_the_float_range_is_unbounded():
+    # f'' runs from 1e308 to 1.7e308: the centre and the inflated half-width
+    # both overflow, and the bracket is [-inf, inf] rather than [nan, inf]
+    f = expression_integrand("1e308*(x^2/2+x^3/6)")
+    rng = estimate_derivative_range(f, 2, Interval(0.0, 0.7), safety=10.0)
+    assert (rng.lower, rng.upper) == (-math.inf, math.inf)
 
 
 def test_estimator_constant_collapses_to_zero_width():

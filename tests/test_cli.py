@@ -466,6 +466,15 @@ def test_bounds_samples_above_the_limit_is_a_usage_error():
         1, "", "msquad: error: --samples: at most 1000000, got 100000000000\n")
 
 
+def test_kernel_samples_above_the_limit_is_a_usage_error():
+    # every row is built before it prints: 1e11 rows would exhaust memory
+    assert invoke("kernel", "--samples", "100000000000", "--format", "csv") == (
+        1, "", "msquad: error: --samples: at most 100000, got 100000000000\n")
+    assert invoke("kernel", "--samples", "100001")[0] == 1
+    code, out, _ = invoke("kernel", "-k", "2", "--samples", "100000", "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 100_001
+
+
 def test_cli_import_does_not_load_numpy():
     # numpy alone costs about as much as the rest of a cold start
     proc = subprocess.run(

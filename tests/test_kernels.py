@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import (
+    exact_branch_integral,
     exact_modified_simpson_error,
     poly_eval,
     poly_integral,
@@ -14,11 +15,7 @@ from msquad.integrand import Integrand, Interval
 from msquad.kernels import (
     KERNEL_ORDERS,
     kernel,
-    kernel_abs_integral,
     kernel_eval,
-    kernel_eval_scaled,
-    kernel_max_abs,
-    kernel_moment,
     scaled_constants,
 )
 from msquad.reference import reference_integral
@@ -26,14 +23,10 @@ from msquad.reference import reference_integral
 SQRT19 = math.sqrt(19.0)
 
 
-def exact_branch_integral(k: int, j: int) -> F:
-    """Test-side oracle: integral of T_k(x) x^j by Fraction antiderivatives."""
-    ker = kernel(k)
-    total = F(0)
-    for poly, lo, hi in ((ker.left_poly, F(0), F(1, 2)), (ker.right_poly, F(1, 2), F(1))):
-        shifted = (F(0),) * j + tuple(poly)
-        total += poly_integral(shifted, lo, hi)
-    return ker.sign * total
+def scaled_kernel(k: int, t: float, iv: Interval) -> float:
+    """T_k rescaled to ``iv``: ``(b-a)^k T_k((t-a)/(b-a))``, whose integral
+    against f^(k) is the corrected-rule error on [a, b]."""
+    return iv.width**k * kernel_eval(k, (t - iv.a) / iv.width)
 
 
 # -- point values --------------------------------------------------------------
@@ -82,51 +75,39 @@ def test_eval_domain_and_order_checks():
     with pytest.raises(ValueError):
         kernel_eval(7, 0.5)
     with pytest.raises(ValueError):
-        kernel_max_abs(6)
-    with pytest.raises(ValueError):
-        kernel_moment(2, 7)
-
-
-def test_scaled_eval_examples():
-    assert kernel_eval_scaled(2, 0.0, Interval(0.0, 2.0)) == 4.0 * kernel_eval(2, 0.0)
-    # the x = 1/3 root of the left branch maps to t = 5/3 on [1, 3]
-    assert abs(kernel_eval_scaled(4, 5.0 / 3.0, Interval(1.0, 3.0))) <= 1e-15
-    iv = Interval(0.0, 1.0)
-    for k in KERNEL_ORDERS:
-        for t in (0.0, 0.125, 0.5, 0.625, 1.0):
-            assert kernel_eval_scaled(k, t, iv) == kernel_eval(k, t)
-    with pytest.raises(ValueError):
-        kernel_eval_scaled(2, 2.5, Interval(0.0, 2.0))
+        scaled_constants(7)
 
 
 # -- norm constants ------------------------------------------------------------
 
 
 def test_abs_integral_closed_forms():
-    assert kernel_abs_integral(4) == 1.0 / 14580.0
-    assert kernel_abs_integral(6) == 1.0 / 604800.0
-    assert kernel_abs_integral(2) == 19.0 * SQRT19 / 10125.0
-    assert kernel_abs_integral(2) == pytest.approx(8.1794e-3, rel=1e-4)
+    assert scaled_constants(4).c == 1.0 / 14580.0
+    assert scaled_constants(6).c == 1.0 / 604800.0
+    assert scaled_constants(2).c == 19.0 * SQRT19 / 10125.0
+    assert scaled_constants(2).c == pytest.approx(8.1794e-3, rel=1e-4)
 
 
 def test_max_abs_closed_forms():
-    assert kernel_max_abs(2) == 1.0 / 40.0
-    assert kernel_max_abs(4) == 1.0 / 5760.0
+    assert scaled_constants(2).b == 1.0 / 40.0
+    assert scaled_constants(4).b == 1.0 / 5760.0
     b3 = 7.0 / 20250.0 + 19.0 * SQRT19 / 81000.0
-    assert kernel_max_abs(3) == b3
-    assert kernel_max_abs(3) == pytest.approx(1.3681e-3, rel=1e-4)
+    assert scaled_constants(3).b == b3
+    assert scaled_constants(3).b == pytest.approx(1.3681e-3, rel=1e-4)
+    # T_6 >= 0 peaks at the branch point: T_6(1/2) = 1/230400 exactly
+    assert scaled_constants(6).b == float(F(1, 230400))
 
 
 @pytest.mark.parametrize("k", KERNEL_ORDERS)
 def test_abs_integral_against_adaptive_quadrature(k):
     # integrate |T_k|/C_k so the absolute tolerance is meaningful at every k
-    ck = kernel_abs_integral(k)
+    ck = scaled_constants(k).c
     scaled = Integrand(lambda x: abs(kernel_eval(k, x)) / ck)
     got = reference_integral(scaled, Interval(0.0, 1.0), tol=1e-12)
     assert abs(got.value - 1.0) <= 1e-9
 
 
-@pytest.mark.parametrize("k", (2, 3, 4, 5))
+@pytest.mark.parametrize("k", KERNEL_ORDERS)
 def test_max_abs_against_sampling_oracle(k):
     m = 4001
     xs = [i / (m - 1) for i in range(m)]
@@ -147,25 +128,23 @@ def test_max_abs_against_sampling_oracle(k):
     polished = max(
         abs(kernel_eval(k, a)), abs(kernel_eval(k, b)), vals[i_best]
     )
-    assert polished == pytest.approx(kernel_max_abs(k), rel=1e-8)
+    assert polished == pytest.approx(scaled_constants(k).b, rel=1e-8)
 
 
 @pytest.mark.parametrize("k", KERNEL_ORDERS)
 def test_scaled_constants_identities(k):
     kc = scaled_constants(k)
-    assert kc.c == kernel_abs_integral(k)
-    assert kc.d == 2 ** (k + 1) * kc.c  # exact: power-of-two scaling
-    if k == 6:
-        assert kc.b is None and kc.e is None
-    else:
-        assert kc.b == kernel_max_abs(k)
-        assert kc.e == 2 ** (k + 1) * kc.b
+    assert kc.k == k
+    # exact: power-of-two scaling
+    assert kc.d == 2 ** (k + 1) * kc.c
+    assert kc.e == 2 ** (k + 1) * kc.b
 
 
 def test_scaled_constants_examples():
     assert scaled_constants(4).d == 8.0 / 3645.0
     assert scaled_constants(6).d == 1.0 / 4725.0
     assert scaled_constants(2).e == 1.0 / 5.0
+    assert scaled_constants(6).e == 1.0 / 1800.0
 
 
 # -- moments and orthogonality ---------------------------------------------------
@@ -173,25 +152,19 @@ def test_scaled_constants_examples():
 
 def test_moment_zero_mean():
     for k in (2, 3, 4, 5):
-        assert kernel_moment(k, 0) == 0.0
+        assert exact_branch_integral(k, 0) == 0
 
 
 def test_moment_polynomial_orthogonality():
     for k in (2, 3, 4):
         for j in range(0, 5 - k + 1):
-            assert abs(kernel_moment(k, j)) <= 1e-15
+            assert exact_branch_integral(k, j) == 0
 
 
 def test_moment_order_six_sign_fixed_by_oracle():
     oracle = exact_branch_integral(6, 0)
     assert oracle == F(1, 604800)  # positive: the kernel does not change sign
-    assert kernel_moment(6, 0) == float(oracle)
-
-
-def test_moments_match_exact_oracle_everywhere():
-    for k in KERNEL_ORDERS:
-        for j in range(0, 7):
-            assert kernel_moment(k, j) == float(exact_branch_integral(k, j))
+    assert float(oracle) == scaled_constants(6).c  # so C_6 is the plain integral
 
 
 # -- Peano remainder identities --------------------------------------------------
@@ -226,7 +199,7 @@ def test_remainder_identity_numeric_for_degree_six():
         coeffs = [rng.uniform(-3.0, 3.0) for _ in range(7)]
         exact = exact_modified_simpson_error([F(c) for c in coeffs], F(0), F(1))
         # f^(6) is the constant 720 c_6, so the representation reduces to a moment
-        via_kernel = 720.0 * coeffs[6] * kernel_moment(6, 0)
+        via_kernel = 720.0 * coeffs[6] * float(exact_branch_integral(6, 0))
         assert abs(via_kernel - float(exact)) <= 1e-13
 
 
@@ -248,7 +221,7 @@ def test_scaled_kernel_identity_polynomial():
             acc = 0.0
             for c in reversed(fk):
                 acc = acc * t + float(c)
-            return kernel_eval_scaled(k, t, iv) * acc
+            return scaled_kernel(k, t, iv) * acc
 
         g = Integrand(weighted)
         mid = float(a + (b - a) / 2)
@@ -275,7 +248,7 @@ def test_scaled_kernel_identity_smooth():
 
     true_error = ref - modified_simpson_panel(f, iv)
     for k in KERNEL_ORDERS:
-        g = Integrand(lambda t: kernel_eval_scaled(k, t, iv) * math.exp(t))
+        g = Integrand(lambda t: scaled_kernel(k, t, iv) * math.exp(t))
         mid = iv.a + 0.5 * iv.width
         lhs = (
             reference_integral(g, Interval(iv.a, mid), tol=1e-13).value
