@@ -166,7 +166,7 @@ def composite_bounds(
     if not length > 0:
         raise ValueError(f"interval length must be positive, got {length}")
     n = length / (2.0 * h)
-    if abs(n - round(n)) > 1e-9 * max(1.0, n) or round(n) < 1:
+    if not math.isfinite(n) or abs(n - round(n)) > 1e-9 * max(1.0, n) or round(n) < 1:
         raise ValueError(
             f"length {length} is not an even multiple of the spacing h = {h}"
         )
@@ -182,7 +182,7 @@ def composite_bounds(
 
 def composite_bound_k6(sup_f6: float, h: float, length: float) -> float:
     """Composite order-6 bound: ``D_6/2 * ||f^(6)|| * h^6 * (b - a)``."""
-    if sup_f6 < 0:
+    if not sup_f6 >= 0:
         raise ValueError(f"sup norm must be non-negative, got {sup_f6}")
     if not h > 0:
         raise ValueError(f"grid spacing must be positive, got {h}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import json
 import os
 import re
 import sys
@@ -142,9 +141,15 @@ def _table_cell(value: object) -> str:
     return str(value)
 
 
+def _emit_json(payload: dict, out: TextIO) -> None:
+    import json  # most runs print no JSON, and a cold start need not load it
+
+    print(json.dumps(payload, sort_keys=True), file=out)
+
+
 def _emit_record(payload: dict, fmt: str, out: TextIO) -> None:
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True), file=out)
+        _emit_json(payload, out)
     elif fmt == "csv":
         _emit_grid(list(payload), [list(payload.values())], fmt, out)
     else:
@@ -166,7 +171,7 @@ def _emit_grid(
             "rows": [list(r) for r in rows],
             **{k: v for k, v in trailers},
         }
-        print(json.dumps(payload, sort_keys=True), file=out)
+        _emit_json(payload, out)
     elif fmt == "csv":
         print(",".join(columns), file=out)
         for row in rows:

@@ -378,7 +378,7 @@ class Tracer:
         if size is None:
             return self.let(call)
         names = tuple(f"t{len(self.lines)}_{j}" for j in range(size))
-        self.lines.append(f"{', '.join(names)} = {call}")
+        self.lines.append(f"{_src(names)} = {call}")
         return names
 
     def _block(self, indent: int, last: str) -> str:

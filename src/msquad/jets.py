@@ -1,11 +1,15 @@
 """Forward Taylor-mode differentiation of expression trees.
 
 A jet holds truncated Taylor coefficients ``c_j = f^(j)(x0) / j!`` for
-j = 0..6.  One propagation pass through an expression tree yields every
-derivative order the bounds machinery needs (the corrected rules use order
-1, the leading-error estimate order 5 and the bound families orders 2..6).
-Jet arithmetic exists only in that pass: the walker and the recurrence of
-each operation are written once, against the scalar arithmetic of
+j = 0..k, k <= 6; its length is its order.  Coefficient j of every
+recurrence depends only on the input coefficients 0..j, so a jet cut off at
+order k carries the bits of the order-6 jet's first k + 1 coefficients
+(powers aside, see the comment above the recurrences).  The bounds
+machinery asks for one order at a time (the corrected rules order 1, the
+leading-error estimate order 5 and the bound families orders 2..6), and
+each is propagated no further than its own order.  Jet arithmetic exists
+only in the propagation pass: the walker and the recurrence of each
+operation are written once, against the scalar arithmetic of
 :mod:`msquad.expressions`.  On ``Binary64`` they are :func:`derivatives`,
 the reference, and on ``Tracer`` they write the straight-line function that
 :func:`compile_jet` returns.  A :class:`TaylorJet` is just a result.
@@ -40,9 +44,7 @@ from .expressions import (
 from .integrand import Integrand
 
 ORDER = 6
-_N = ORDER + 1
-_FACTORIALS = tuple(math.factorial(j) for j in range(_N))
-_ZEROS = (0.0,) * ORDER
+_FACTORIALS = tuple(math.factorial(j) for j in range(ORDER + 1))
 _OVERFLOW = "overflow during derivative propagation"
 _ZERO_SERIES = "jet division by a series with zero value"
 
@@ -55,8 +57,8 @@ class TaylorJet:
 
     def __init__(self, coeffs):
         cs = tuple(float(c) for c in coeffs)
-        if len(cs) != _N:
-            raise ValueError(f"jet needs exactly {_N} coefficients, got {len(cs)}")
+        if not 1 <= len(cs) <= ORDER + 1:
+            raise ValueError(f"jet needs 1 to {ORDER + 1} coefficients, got {len(cs)}")
         self.coeffs = cs
 
     @property
@@ -65,8 +67,8 @@ class TaylorJet:
 
     def derivative(self, order: int) -> float:
         """``f^(order)(x0)``, i.e. the coefficient rescaled by order!."""
-        if not 0 <= order <= ORDER:
-            raise ValueError(f"jet carries orders 0..{ORDER}, got {order}")
+        if not 0 <= order < len(self.coeffs):
+            raise ValueError(f"jet carries orders 0..{len(self.coeffs) - 1}, got {order}")
         return self.coeffs[order] * _FACTORIALS[order]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -75,26 +77,39 @@ class TaylorJet:
 
 # -- the recurrences --------------------------------------------------------
 #
-# A jet is a tuple of seven values of arithmetic ``A``, each coefficient one
-# ``let``.  Each sum of products is one ``fsum``: traced, the products stay
-# inside the call, where binding each to a local would only add stores.
-# Every coefficient is computed, though a caller may need one order, or sin
-# only the sine: an ``fsum`` may raise (on inf - inf, or on overflow), so
-# which inputs fail depends on all of them.  The sign of a NaN is not kept:
-# CPython 3.11 takes it for a product of two NaNs from either operand,
-# depending on whether it has specialised that multiplication yet.
+# A jet is a tuple of one to seven values of arithmetic ``A``, each
+# coefficient one ``let``; the operands of one operation have one length,
+# the jet's order plus one.  Each sum of products is one ``fsum``: traced,
+# the products stay inside the call, where binding each to a local would
+# only add stores.  Coefficient j of every recurrence reads the input
+# coefficients 0..j only, so nothing above the order is computed, and an
+# order fails only where its own coefficients or lower ones raise (an
+# ``fsum`` raises on inf - inf, or on overflow).  Up to the order every
+# coefficient is computed, the cosine that sin does not return too, so
+# which inputs fail depends on all of them.  A power reads more: it takes
+# the integer path when its exponent's coefficients 1..k are zero, so where
+# the exponent's higher ones are not, the order-k jet may differ from the
+# order-6 jet's first k + 1 coefficients, or succeed where that one fails.
+# The sign of a NaN is not kept: CPython 3.11 takes it for a product of two
+# NaNs from either operand, depending on whether it has specialised that
+# multiplication yet.
+
+
+def _constant(c, like):
+    """The jet of the constant ``c``, as long as the jet ``like``."""
+    return (c,) + (0.0,) * (len(like) - 1)
 
 
 def _mul(A, a, b):
     return tuple(
-        A.let(A.fsum([A.mul(a[i], b[j - i]) for i in range(j + 1)])) for j in range(_N)
+        A.let(A.fsum([A.mul(a[i], b[j - i]) for i in range(j + 1)])) for j in range(len(a))
     )
 
 
 def _div(A, a, b):
     """The quotient, once the caller has checked ``b[0]``."""
     q = [A.let(A.div(a[0], b[0]))]
-    for j in range(1, _N):
+    for j in range(1, len(a)):
         acc = A.sub(a[j], A.fsum([A.mul(b[i], q[j - i]) for i in range(1, j + 1)]))
         q.append(A.let(A.div(acc, b[0])))
     return tuple(q)
@@ -102,13 +117,13 @@ def _div(A, a, b):
 
 def _scaled(A, a):
     """``j * a[j]``, the left factor of every exp and sin/cos product."""
-    return [None] + [A.let(A.mul(j, a[j])) for j in range(1, _N)]
+    return [None] + [A.let(A.mul(j, a[j])) for j in range(1, len(a))]
 
 
 def _exp(A, a):
     u = [A.let(A.exp(a[0]))]
     d = _scaled(A, a)
-    for k in range(1, _N):
+    for k in range(1, len(a)):
         u.append(A.let(A.div(A.fsum([A.mul(d[j], u[k - j]) for j in range(1, k + 1)]), k)))
     return tuple(u)
 
@@ -116,7 +131,7 @@ def _exp(A, a):
 def _log(A, a):
     """The logarithm, once the caller has checked ``a[0] > 0``."""
     u = [A.let(A.log(a[0]))]
-    for k in range(1, _N):
+    for k in range(1, len(a)):
         terms = [A.mul(A.mul(j / k, u[j]), a[k - j]) for j in range(1, k)]
         u.append(A.let(A.div(A.sub(a[k], A.fsum(terms)), a[0])))
     return tuple(u)
@@ -126,7 +141,7 @@ def _sin_cos(A, a):
     s = [A.let(A.sin(a[0]))]
     c = [A.let(A.cos(a[0]))]
     d = _scaled(A, a)
-    for k in range(1, _N):
+    for k in range(1, len(a)):
         s.append(A.let(A.div(A.fsum([A.mul(d[j], c[k - j]) for j in range(1, k + 1)]), k)))
         c.append(A.let(A.div(A.neg(A.fsum([A.mul(d[j], s[k - j]) for j in range(1, k + 1)])), k)))
     return tuple(s), tuple(c)
@@ -136,7 +151,7 @@ def _sqrt(A, a):
     """The square root, once the caller has checked ``a[0] > 0``."""
     u = [A.let(A.sqrt(a[0]))]
     twice = A.let(A.mul(2.0, u[0]))
-    for k in range(1, _N):
+    for k in range(1, len(a)):
         terms = [A.mul(u[j], u[k - j]) for j in range(1, k)]
         u.append(A.let(A.div(A.sub(a[k], A.fsum(terms)), twice)))
     return tuple(u)
@@ -145,11 +160,11 @@ def _sqrt(A, a):
 def _int_pow(A, base, n: int):
     """Square and multiply; on the tracer the loop unrolls itself."""
     if n == 0:
-        return (1.0,) + _ZEROS
+        return _constant(1.0, base)
     if n < 0:
         p = _int_pow(A, base, -n)
         A.check(p[0], "==", _ZERO_SERIES)
-        return _div(A, (1.0,) + _ZEROS, p)
+        return _div(A, _constant(1.0, base), p)
     result, square = None, base
     while n:
         if n & 1:
@@ -163,7 +178,7 @@ def _int_pow(A, base, n: int):
 def _pow(A, base, expo):
     e = [A.known(c) for c in expo]
     if None in e:
-        return A.defer(_pow, base, expo, size=_N)
+        return A.defer(_pow, base, expo, size=len(base))
     n = _exponent(A, base[0], e[0] if all(c == 0.0 for c in e[1:]) else None)
     if n is None:
         return _exp(A, _mul(A, expo, _log(A, base)))
@@ -173,11 +188,11 @@ def _pow(A, base, expo):
 def _jet(A, node: Expression, x):
     """The jet of ``node`` in arithmetic ``A``, where ``x`` is the variable's."""
     if isinstance(node, Num):
-        return (A.const(float(node.value)),) + _ZEROS
+        return _constant(A.const(float(node.value)), x)
     if isinstance(node, Var):
         return x
     if isinstance(node, Const):
-        return (A.const(CONSTANTS[node.name]),) + _ZEROS
+        return _constant(A.const(CONSTANTS[node.name]), x)
     if isinstance(node, Neg):
         return tuple(A.let(A.neg(c)) for c in _jet(A, node.arg, x))
     if isinstance(node, BinOp):
@@ -212,20 +227,28 @@ def _jet(A, node: Expression, x):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def derivatives(expr: Expression, x0: float) -> TaylorJet:
-    """Propagate a full order-6 jet of ``expr`` through the tree at ``x0``."""
+def _variable(x, order: int):
+    """The jet of the variable at ``x``, cut off at ``order``."""
+    if not 0 <= order <= ORDER:
+        raise ValueError(f"jet order must be in 0..{ORDER}, got {order!r}")
+    return (x, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)[:order + 1]
+
+
+def derivatives(expr: Expression, x0: float, order: int = ORDER) -> TaylorJet:
+    """Propagate the order-``order`` jet of ``expr`` through the tree at ``x0``."""
     try:
-        return TaylorJet(_jet(Binary64(x0), expr, (float(x0), 1.0) + _ZEROS[1:]))
+        return TaylorJet(_jet(Binary64(x0), expr, _variable(float(x0), order)))
     except OverflowError:
         raise EvaluationError(_OVERFLOW, x0) from None
 
 
-def compile_jet(expr: Expression) -> Callable[[float], tuple[float, ...]]:
+def compile_jet(expr: Expression, order: int = ORDER) -> Callable[[float], tuple[float, ...]]:
     """Compile the tree once into a function of ``x`` that returns
-    ``derivatives(expr, x).coeffs`` and raises what :func:`derivatives`
-    does.  Compiling never raises: an error belongs to the point."""
+    ``derivatives(expr, x, order).coeffs`` and raises what
+    :func:`derivatives` does.  Compiling never raises: an error belongs to
+    the point."""
     tracer = Tracer()
-    x = (tracer.let("float(x)"), 1.0) + _ZEROS[1:]
+    x = _variable(tracer.let("float(x)"), order)
     return tracer.function(_jet(tracer, expr, x), _OVERFLOW, "<msquad jet>")
 
 
@@ -233,10 +256,10 @@ def expression_integrand(text: str, df_text: str | None = None) -> Integrand:
     """Build an :class:`Integrand` from expression text.
 
     Point values come from the tree compiled once by
-    :func:`~msquad.expressions.compile_expression`, derivatives of all
-    orders from its jet compiled by :func:`compile_jet` on the first
-    derivative asked for (rules that take none never pay for it), and the
-    pair loop of the composite rules by
+    :func:`~msquad.expressions.compile_expression`, a derivative of order k
+    from the order-k jet that :func:`compile_jet` compiles on the first
+    request for that order (rules that take none never pay for it), and
+    the pair loop of the composite rules by
     :func:`~msquad.expressions.compile_pair_terms` on the first of them.
     ``df_text``, when given, is compiled too and overrides order 1 only
     (orders 2..6 still come from the jets of ``text``).  ``text`` is
@@ -244,14 +267,14 @@ def expression_integrand(text: str, df_text: str | None = None) -> Integrand:
     """
     expr = parse(text)
     df = compile_expression(parse(df_text)) if df_text is not None else None
-    jet = None
+    jets = {}  # order -> its compiled jet
 
     def provider(order: int, x: float) -> float:
-        nonlocal jet
         if order == 1 and df is not None:
             return df(x)
+        jet = jets.get(order)
         if jet is None:
-            jet = compile_jet(expr)
+            jet = jets[order] = compile_jet(expr, order)
         try:
             coeffs = jet(x)
         except ValueError as exc:

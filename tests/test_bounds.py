@@ -141,8 +141,9 @@ def test_panel_bound_k6_with_tight_monomial():
     assert composite_bound_k6(0.0, 2.0, 4.0) == 0.0
     assert composite_bound_k6(math.e, 1.0, 2.0) == pytest.approx(math.e / 4725.0, rel=1e-15)
     assert composite_bound_k6(math.e, 1.0, 2.0) >= 2.206e-4
-    with pytest.raises(ValueError):
-        composite_bound_k6(-1.0, 1.0, 2.0)
+    for sup in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="sup norm must be non-negative"):
+            composite_bound_k6(sup, 1.0, 2.0)
 
 
 def test_composite_coefficient_matches_quarter_form():
@@ -184,8 +185,10 @@ def test_composite_bounds_validity_for_gauss():
 def test_composite_bounds_rejects_mismatched_spacing():
     rng = DerivativeRange(2, 0.0, 1.0)
     slope = SecantSlope(1, 0.5)
-    with pytest.raises(ValueError):
-        composite_bounds(2, rng, slope, 0.3, 1.0)
+    # the pair count length / (2h) is 5/3, or infinite, or inf/inf
+    for h, length in ((0.3, 1.0), (1.0, math.inf), (math.inf, math.inf), (1e-310, 1e300)):
+        with pytest.raises(ValueError, match="is not an even multiple"):
+            composite_bounds(2, rng, slope, h, length)
 
 
 def test_composite_bound_k6_values():

@@ -47,6 +47,17 @@ def test_integrate_json_fields_and_reference():
     assert payload["reference_abs_error"] < 1e-8
 
 
+def test_integrate_needs_no_derivative_order_above_the_rule_s():
+    # exp(c*x)^2 near 0: f' = 2c f is finite, but the sixth Taylor
+    # coefficient (2c)^6/720 overflows; msimpson reads f' and f^(5) only
+    c, b = 4.4e51, 1e-60
+    code, out, err = invoke("integrate", "--f", "exp(4.4e51*x)^2", "-a", "0", "-b", "1e-60",
+                            "--format", "json")
+    assert (code, err) == (0, "")
+    want = math.expm1(2 * c * b) / (2 * c)
+    assert abs(json.loads(out)["value"] - want) <= 2 * math.ulp(want)
+
+
 def test_reversed_limits_negate_exactly():
     _, fwd, _ = invoke("integrate", "--f", "exp(-x^2)", "-a", "0", "-b", "1",
                        "-n", "3", "--format", "json")
@@ -555,11 +566,13 @@ _BASE_MODULES = {"msquad", "msquad.cli", "msquad.errors", "msquad.integrand", "m
 )
 def test_each_subcommand_imports_only_what_it_runs(argv, loaded):
     # a cold CLI run compiles every module it imports; the others cost nothing.
-    # The records are named tuples, so no run imports dataclasses (or inspect).
+    # The records are named tuples, so no run imports dataclasses (or inspect);
+    # a table needs no json, and kernel values no exact fractions.
     code = ("import io, sys, msquad.cli; "
             f"assert msquad.cli.run({argv!r}, out=io.StringIO()) == 0; "
             "print(sorted(m for m in sys.modules if m.startswith('msquad'))); "
-            "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+            "print([m for m in ('dataclasses', 'inspect', 'json', 'fractions', 'decimal') "
+            "if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_child_env())
     assert proc.returncode == 0, proc.stderr

@@ -22,8 +22,8 @@ from helpers import (
     symbolic_diff,
 )
 from msquad.errors import DerivativeUnavailableError, EvaluationError
-from msquad.expressions import evaluate, parse, to_string
-from msquad.jets import TaylorJet, compile_jet, derivatives, expression_integrand
+from msquad.expressions import BinOp, Call, Neg, evaluate, parse, to_string
+from msquad.jets import ORDER, TaylorJet, compile_jet, derivatives, expression_integrand
 
 
 def test_jet_examples():
@@ -187,10 +187,20 @@ def test_real_power_via_exp_log():
 
 
 def test_jet_constructor_validation():
-    with pytest.raises(ValueError):
-        TaylorJet((1.0, 2.0))
+    for coeffs in ((), (0.0,) * 8):
+        with pytest.raises(ValueError):
+            TaylorJet(coeffs)
     with pytest.raises(ValueError):
         TaylorJet((1.0,) + (0.0,) * 6).derivative(7)
+    # a jet of order 1 carries f and f' only
+    assert TaylorJet((1.0, 2.0)).derivative(1) == 2.0
+    with pytest.raises(ValueError, match=r"orders 0\.\.1, got 2"):
+        TaylorJet((1.0, 2.0)).derivative(2)
+    for order in (-1, 7):
+        with pytest.raises(ValueError, match="jet order"):
+            derivatives(parse("x"), 0.5, order)
+        with pytest.raises(ValueError, match="jet order"):
+            compile_jet(parse("x"), order)
 
 
 def test_expression_integrand_derivative_orders():
@@ -257,17 +267,64 @@ def test_compiled_code_matches_golden_of_earlier_compilers():
 @given(EDGE_TREES, st.lists(st.one_of(EDGE_ABSCISSAE, st.just(math.nan)),
                             min_size=1, max_size=4))
 def test_compiled_jet_matches_propagation_bitwise(tree, xs):
-    jet = compile_jet(tree)  # compiling never raises: errors belong to points
+    for order in range(ORDER + 1):
+        jet = compile_jet(tree, order)  # compiling never raises: errors belong to points
+        for x in xs:
+            want = outcome(lambda x: derivatives(tree, x, order).coeffs, x, any_nan=True)
+            assert outcome(jet, x, any_nan=True) == want, order
+
+
+def _exponents(tree):
+    """The exponent subtree of every power in ``tree``."""
+    if isinstance(tree, BinOp):
+        yield from _exponents(tree.left)
+        yield from _exponents(tree.right)
+        if tree.op == "^":
+            yield tree.right
+    elif isinstance(tree, (Neg, Call)):
+        yield from _exponents(tree.arg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EDGE_TREES, st.lists(EDGE_ABSCISSAE, min_size=1, max_size=4))
+def test_truncated_jet_is_prefix_of_full_jet(tree, xs):
+    # Coefficient j of each recurrence reads input coefficients 0..j only.
+    # The one decision that reads more is a power's: its exponent counts as
+    # constant when the exponent's coefficients 1..k are zero, so where its
+    # higher ones are not, order k takes the integer path and order 6 does not.
     for x in xs:
-        assert outcome(jet, x, any_nan=True) == outcome(_reference(tree), x, any_nan=True)
+        try:
+            full = derivatives(tree, x).coeffs
+        except (EvaluationError, ArithmeticError, ValueError):
+            continue
+        exponents = [derivatives(e, x).coeffs[1:] for e in _exponents(tree)]
+        for k in range(ORDER + 1):
+            if any(not any(e[:k]) and any(e) for e in exponents):
+                continue
+            got = outcome(lambda x: derivatives(tree, x, k).coeffs, x, any_nan=True)
+            assert got == outcome(lambda x: full[:k + 1], x, any_nan=True), k
 
 
-def test_expression_integrand_compiles_its_jet_on_first_derivative(monkeypatch):
+def test_truncated_power_takes_integer_path_where_exponent_is_flat():
+    # (x+0.3)^(3+(x-1)^2) at 1: the exponent's slope is 0, its curvature not,
+    # so order 1 squares and multiplies, order 6 takes exp(3 log 1.3)
+    tree = parse("(x+0.3)^(3+(x-1)^2)")
+    assert derivatives(tree, 1.0, 1).value == 1.3 * (1.3 * 1.3) != 1.3**3
+    assert derivatives(tree, 1.0).value == math.exp(3.0 * math.log(1.3)) == 1.3**3
+    # a negative base passes to order 2, where the exponent looks constant,
+    # and is refused from order 3 on, where it does not
+    tree = parse("(x-2)^(2+(x-1)^3)")
+    assert derivatives(tree, 1.0, 2).coeffs == (1.0, -2.0, 1.0)
+    with pytest.raises(EvaluationError, match="non-integer power"):
+        derivatives(tree, 1.0, 3)
+
+
+def test_expression_integrand_compiles_one_jet_per_order_asked(monkeypatch):
     compiled = []
 
-    def counting(expr):
-        compiled.append(expr)
-        return compile_jet(expr)
+    def counting(expr, order):
+        compiled.append((expr, order))
+        return compile_jet(expr, order)
 
     monkeypatch.setattr(msquad.jets, "compile_jet", counting)
     f = expression_integrand("exp(-x^2)*sin(3*x)", df_text="cos(x)")
@@ -275,6 +332,17 @@ def test_expression_integrand_compiles_its_jet_on_first_derivative(monkeypatch):
     f.derivative(1, 0.5)  # the override needs no jet
     assert compiled == []
     tree = parse("exp(-x^2)*sin(3*x)")
-    for k in range(2, 7):
-        assert f.derivative(k, 0.5) == derivatives(tree, 0.5).derivative(k)
-    assert compiled == [tree]
+    for k in (5, 2, 5, 6, 2, 3, 4, 6, 3):
+        for x in (0.5, 0.25):
+            assert f.derivative(k, x) == derivatives(tree, x).derivative(k)
+    assert compiled == [(tree, k) for k in (5, 2, 6, 3, 4)]
+    expression_integrand("exp(-x^2)*sin(3*x)").derivative(1, 0.5)
+    assert compiled[-1] == (tree, 1)
+
+
+def test_lower_order_survives_overflow_in_higher_coefficient():
+    # exp(c*x)^2 at x = 1e-60: c0 = 1, c1 = 2c, but c6 = (2c)^6/720 overflows
+    f = expression_integrand("exp(4.4e51*x)^2")
+    assert f.derivative(1, 1e-60) == 2 * 4.4e51 * f(1e-60)
+    with pytest.raises(EvaluationError, match="overflow during derivative propagation"):
+        f.derivative(6, 1e-60)

@@ -13,6 +13,7 @@ from helpers import (
 )
 from msquad.integrand import Integrand, Interval
 from msquad.kernels import (
+    _LEFT_F,
     KERNEL_ORDERS,
     kernel,
     kernel_eval,
@@ -45,6 +46,14 @@ def test_eval_vanishes_exactly_at_one():
     for k in (3, 4, 5, 6):
         assert poly_eval(kernel(k).right_poly, F(1)) == 0
         assert kernel_eval(k, 1.0) == 0.0
+
+
+def test_float_coefficients_are_the_signed_exact_expansion():
+    # kernel_eval reads float literals, so an import needs no Fraction; each
+    # must be the exact left-branch coefficient rounded and signed, -0.0 kept
+    for k in KERNEL_ORDERS:
+        want = tuple(float(c) * (-1) ** k for c in kernel(k).left_poly)
+        assert list(map(repr, _LEFT_F[k])) == list(map(repr, want)), k
 
 
 def test_order_six_kernel_never_changes_sign():
