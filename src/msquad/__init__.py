@@ -42,7 +42,6 @@ _EXPORTS = {
     "rules": (
         "QuadResult", "Rule", "composite_modified_simpson", "composite_simpson",
         "corrected_midpoint_panel", "leading_error_estimate", "midpoint_panel",
-        "modified_simpson_panel", "simpson_panel",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

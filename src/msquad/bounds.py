@@ -44,6 +44,16 @@ def _pow(base: float, n: int) -> float:
         raise EvaluationError("error bound overflows") from None
 
 
+def _check_sup(s: float) -> None:
+    if not s >= 0:  # a NaN norm fails here too
+        raise ValueError(f"sup norm must be non-negative, got {s}")
+
+
+def _check_positive(value: float, what: str) -> None:
+    if not value > 0:  # a NaN fails here too
+        raise ValueError(f"{what} must be positive, got {value}")
+
+
 class _RangeFields(NamedTuple):
     k: int
     lower: float
@@ -161,10 +171,8 @@ def composite_bounds(
     the unit bounds rescaled to ``D_k h^(k+1)`` and ``E_k h^(k+1)``, and the
     result is that panel report times the pair count.
     """
-    if not h > 0:
-        raise ValueError(f"grid spacing must be positive, got {h}")
-    if not length > 0:
-        raise ValueError(f"interval length must be positive, got {length}")
+    _check_positive(h, "grid spacing")
+    _check_positive(length, "interval length")
     n = length / (2.0 * h)
     if not math.isfinite(n) or abs(n - round(n)) > 1e-9 * max(1.0, n) or round(n) < 1:
         raise ValueError(
@@ -182,12 +190,9 @@ def composite_bounds(
 
 def composite_bound_k6(sup_f6: float, h: float, length: float) -> float:
     """Composite order-6 bound: ``D_6/2 * ||f^(6)|| * h^6 * (b - a)``."""
-    if not sup_f6 >= 0:
-        raise ValueError(f"sup norm must be non-negative, got {sup_f6}")
-    if not h > 0:
-        raise ValueError(f"grid spacing must be positive, got {h}")
-    if not length > 0:
-        raise ValueError(f"interval length must be positive, got {length}")
+    _check_sup(sup_f6)
+    _check_positive(h, "grid spacing")
+    _check_positive(length, "interval length")
     return _finite(0.5 * scaled_constants(6).d * sup_f6 * _pow(h, 6) * length, "error bound")
 
 
@@ -200,8 +205,9 @@ def midpoint_bounds(m2: float, m4: float, length: float) -> tuple[float, float, 
     and the corrected-rule fourth-derivative bound
     ``7 M_4 (b-a)^5 / 5760``.
     """
-    if m2 < 0 or m4 < 0:
-        raise ValueError("derivative sup norms must be non-negative")
+    _check_sup(m2)
+    _check_sup(m4)
+    _check_positive(length, "interval length")
     w3 = _pow(length, 3)
     classic = w3 * m2 / 24.0
     corrected = w3 * m2 / (18.0 * math.sqrt(3.0))
@@ -211,8 +217,9 @@ def midpoint_bounds(m2: float, m4: float, length: float) -> tuple[float, float, 
 
 def simpson_classic_bound(sup_f4: float, h: float, length: float) -> float:
     """Textbook composite-Simpson bound ``||f^(4)|| h^4 (b - a) / 180``."""
-    if sup_f4 < 0:
-        raise ValueError(f"sup norm must be non-negative, got {sup_f4}")
+    _check_sup(sup_f4)
+    _check_positive(h, "grid spacing")
+    _check_positive(length, "interval length")
     return sup_f4 * _pow(h, 4) * length / 180.0
 
 

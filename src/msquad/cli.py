@@ -6,9 +6,11 @@ report), ``kernel`` (sample the error kernels to CSV), ``converge``
 
 Exit codes: 0 success, 1 usage error (or stdout closed early, as by
 ``| head``), 2 evaluation or convergence error.
-Reversed limits (a > b) are normalized by swapping and negating before
-anything reaches the library; a zero-width interval short-circuits to
-zero integrals and zero bounds.
+Reversed limits (a > b) are normalized by swapping before anything
+reaches the library, and every integral printed is negated back.  A
+zero-width interval gives zero integrals and zero bounds, with the keys
+the same command prints on any other interval; ``converge`` and
+``compare`` reject it.
 """
 
 from __future__ import annotations
@@ -224,16 +226,31 @@ def _grid(iv: Interval, n: int) -> UniformGrid:
         raise _UsageError(f"-a/-b, -n: {exc}") from exc
 
 
-def _parse_n_list(text: str) -> list[int]:
+def _check_pair_count(n: int) -> None:
+    if n < 1:
+        raise _UsageError(f"-n: pair count must be >= 1, got {n}")
+
+
+def _study_inputs(
+    args: argparse.Namespace, study: str
+) -> tuple[Integrand, Interval, list[int], float]:
+    """The integrand, interval, pair counts and orientation sign of a
+    ``converge`` or ``compare`` run, each checked before the oracle runs;
+    ``study`` names the run in the empty-interval message."""
+    f = _integrand(args)
     try:
-        ns = [int(part) for part in text.split(",") if part.strip()]
+        ns = [int(part) for part in args.n_list.split(",") if part.strip()]
     except ValueError as exc:
         raise _UsageError(f"--n-list: {exc}") from exc
     if not ns or any(n < 1 for n in ns):
         raise _UsageError("--n-list: need positive pair counts")
     if any(n2 <= n1 for n1, n2 in zip(ns, ns[1:])):
         raise _UsageError("--n-list: pair counts must be strictly increasing")
-    return ns
+    iv, sign = _normalized_limits(args)
+    if iv is None:
+        raise _UsageError(f"-a/-b: {study} needs a non-empty interval")
+    _grid(iv, ns[-1])  # the finest grid
+    return f, iv, ns, sign
 
 
 # -- subcommands -------------------------------------------------------------
@@ -242,56 +259,53 @@ def _parse_n_list(text: str) -> list[int]:
 def _cmd_integrate(args: argparse.Namespace, out: TextIO) -> int:
     f = _integrand(args)
     rule = Rule(args.rule)
-    if args.n < 1:
-        raise _UsageError(f"-n: pair count must be >= 1, got {args.n}")
+    _check_pair_count(args.n)
     iv, sign = _normalized_limits(args)
+
+    # A zero-width interval (iv is None) keeps these: h and every integral
+    # are 0 there, and so is the msimpson estimate h^6/9450 [f^(5)(b) - f^(5)(a)].
+    h = value = ref = 0.0
+    estimate = 0.0 if rule is Rule.MODIFIED_SIMPSON else None
+    if iv is not None:
+        if rule is Rule.MIDPOINT:
+            value = midpoint_panel(f, iv)
+        elif rule is Rule.CORRECTED_MIDPOINT:
+            value = corrected_midpoint_panel(f, iv)
+        else:
+            grid = _grid(iv, args.n)
+            h = grid.h
+            result = COMPOSITE_RULES[rule](f, grid)
+            value, estimate = result.value, result.leading_error_estimate
+        if args.reference:
+            from .reference import reference_integral
+
+            try:
+                ref = reference_integral(f, iv, args.tol).value
+            except ValueError as exc:  # the tolerance limit
+                raise _UsageError(f"--tol: {exc}") from exc
 
     payload: dict[str, object] = {
         "rule": rule.value,
         "a": args.a,
         "b": args.b,
-        "n_pairs": args.n,
+        "n_pairs": args.n if rule in COMPOSITE_RULES else 1,  # a midpoint rule: one panel
     }
-    if iv is None:
-        payload.update({"h": 0.0, "value": 0.0, "leading_error_estimate": 0.0})
-        if args.reference:
-            payload.update({"reference_value": 0.0, "reference_abs_error": 0.0})
-        _emit_record(payload, args.format, out)
-        return _EXIT_OK
-
-    estimate: float | None = None
-    if rule is Rule.MIDPOINT:
-        value = midpoint_panel(f, iv)
-        payload["n_pairs"] = 1
-    elif rule is Rule.CORRECTED_MIDPOINT:
-        value = corrected_midpoint_panel(f, iv)
-        payload["n_pairs"] = 1
-    else:
-        grid = _grid(iv, args.n)
-        result = COMPOSITE_RULES[rule](f, grid)
-        value = result.value
-        if result.leading_error_estimate is not None:
-            estimate = sign * result.leading_error_estimate
-        payload["h"] = grid.h
-
+    if rule in COMPOSITE_RULES:
+        payload["h"] = h
     payload["value"] = sign * value
-    payload["leading_error_estimate"] = estimate
+    payload["leading_error_estimate"] = None if estimate is None else sign * estimate
     if args.reference:
-        from .reference import reference_integral
-
-        try:
-            ref = reference_integral(f, iv, args.tol)
-        except ValueError as exc:  # the tolerance limit
-            raise _UsageError(f"--tol: {exc}") from exc
-        payload["reference_value"] = sign * ref.value
-        payload["reference_abs_error"] = abs(sign * value - sign * ref.value)
+        payload["reference_value"] = sign * ref
+        payload["reference_abs_error"] = abs(sign * value - sign * ref)
     _emit_record(payload, args.format, out)
     return _EXIT_OK
 
 
 def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> int:
     from .bounds import (
+        BoundReport,
         DerivativeRange,
+        SecantSlope,
         composite_bound_k6,
         composite_bounds,
         estimate_derivative_range,
@@ -299,70 +313,57 @@ def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> int:
     )
 
     f = _integrand(args)
-    if args.n < 1:
-        raise _UsageError(f"-n: pair count must be >= 1, got {args.n}")
+    _check_pair_count(args.n)
     if (args.lower is None) != (args.upper is None):
         raise _UsageError("--lower and --upper must be given together")
     iv, _ = _normalized_limits(args)
     k = args.k
 
-    if iv is None:
-        payload: dict[str, object] = {
-            "k": k, "a": args.a, "b": args.b, "n_pairs": args.n, "h": 0.0,
-            "range_lower": 0.0, "range_upper": 0.0,
-            "range_provenance": "user-supplied",
-        }
-        fields = ("sup_f6", "bound") if k == 6 else (
-            "secant", "range_bound", "lower_gap_bound", "upper_gap_bound", "peano_classic",
-            "best")
-        payload.update(dict.fromkeys(fields, 0.0), rigorous=True)
-        _emit_record(payload, args.format, out)
-        return _EXIT_OK
+    # A zero-width interval (iv is None) keeps these: h, the range of f^(k),
+    # the secant and every bound are 0 there.
+    h = 0.0
+    rng = DerivativeRange(k=k, lower=0.0, upper=0.0, provenance="user-supplied")
+    slope = SecantSlope(k=k - 1, value=0.0)
+    report = BoundReport(k, 0.0, 0.0, 0.0, 0.0, 0.0, rigorous=True)
+    if iv is not None:
+        h = _grid(iv, args.n).h
+        if args.lower is not None:
+            if not (math.isfinite(args.lower) and math.isfinite(args.upper)):
+                raise _UsageError("--lower and --upper must be finite")
+            if args.lower > args.upper:
+                raise _UsageError("--lower must not exceed --upper")
+            rng = DerivativeRange(k=k, lower=args.lower, upper=args.upper,
+                                  provenance="user-supplied")
+        else:
+            if args.samples > _MAX_SAMPLES:
+                raise _UsageError(f"--samples: at most {_MAX_SAMPLES}, got {args.samples}")
+            try:
+                rng = estimate_derivative_range(
+                    f, k, iv, n_samples=args.samples, safety=args.safety
+                )
+            except ValueError as exc:  # the --samples and --safety limits
+                raise _UsageError(str(exc)) from exc
+        if k < 6:
+            slope = secant_slope(f, k - 1, iv)
+            report = composite_bounds(k, rng, slope, h, iv.width)
 
-    grid = _grid(iv, args.n)
-    if args.lower is not None:
-        if not (math.isfinite(args.lower) and math.isfinite(args.upper)):
-            raise _UsageError("--lower and --upper must be finite")
-        if args.lower > args.upper:
-            raise _UsageError("--lower must not exceed --upper")
-        rng = DerivativeRange(k=k, lower=args.lower, upper=args.upper,
-                              provenance="user-supplied")
-    else:
-        if args.samples > _MAX_SAMPLES:
-            raise _UsageError(f"--samples: at most {_MAX_SAMPLES}, got {args.samples}")
-        try:
-            rng = estimate_derivative_range(
-                f, k, iv, n_samples=args.samples, safety=args.safety
-            )
-        except ValueError as exc:  # the --samples and --safety limits
-            raise _UsageError(str(exc)) from exc
-
-    payload = {
+    payload: dict[str, object] = {
         "k": k,
         "a": args.a,
         "b": args.b,
         "n_pairs": args.n,
-        "h": grid.h,
+        "h": h,
         "range_lower": rng.lower,
         "range_upper": rng.upper,
         "range_provenance": rng.provenance,
     }
     if k == 6:
         payload["sup_f6"] = rng.sup_abs
-        payload["bound"] = composite_bound_k6(rng.sup_abs, grid.h, iv.width)
+        payload["bound"] = 0.0 if iv is None else composite_bound_k6(rng.sup_abs, h, iv.width)
         payload["rigorous"] = rng.rigorous
     else:
-        slope = secant_slope(f, k - 1, iv)
-        report = composite_bounds(k, rng, slope, grid.h, iv.width)
-        payload.update({
-            "secant": slope.value,
-            "range_bound": report.range_bound,
-            "lower_gap_bound": report.lower_gap_bound,
-            "upper_gap_bound": report.upper_gap_bound,
-            "peano_classic": report.peano_classic,
-            "best": report.best,
-            "rigorous": report.rigorous,
-        })
+        payload["secant"] = slope.value
+        payload.update(report._asdict())  # its k is the k already in place
     _emit_record(payload, args.format, out)
     return _EXIT_OK
 
@@ -387,14 +388,9 @@ def _cmd_kernel(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_converge(args: argparse.Namespace, out: TextIO) -> int:
     from .reference import convergence_study
 
-    f = _integrand(args)
-    n_list = _parse_n_list(args.n_list)
-    iv, _ = _normalized_limits(args)
-    if iv is None:
-        raise _UsageError("-a/-b: a convergence study needs a non-empty interval")
-    _grid(iv, n_list[-1])  # the finest grid, before the oracle runs
+    f, iv, n_list, sign = _study_inputs(args, "a convergence study")
     table = convergence_study(Rule(args.rule), f, iv, n_list)
-    rows = [[r.h, r.approx, r.abs_error] for r in table.rows]
+    rows = [[r.h, sign * r.approx, r.abs_error] for r in table.rows]
     _emit_grid(
         ["h", "approx", "abs_error"],
         rows,
@@ -408,17 +404,13 @@ def _cmd_converge(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
     from .reference import compare_rules
 
-    f = _integrand(args)
-    n_list = _parse_n_list(args.n_list)
-    iv, _ = _normalized_limits(args)
-    if iv is None:
-        raise _UsageError("-a/-b: a rule comparison needs a non-empty interval")
-    _grid(iv, n_list[-1])  # the finest grid, before the oracle runs
+    f, iv, n_list, sign = _study_inputs(args, "a rule comparison")
     cmp = compare_rules(f, iv, n_list)
     rows = []
     for rs, rm, ratio in zip(cmp.simpson.rows, cmp.modified.rows, cmp.error_ratios):
         ratio_out = ratio if math.isfinite(ratio) else None  # JSON null, CSV empty
-        rows.append([rs.h, rs.approx, rs.abs_error, rm.approx, rm.abs_error, ratio_out])
+        rows.append([rs.h, sign * rs.approx, rs.abs_error, sign * rm.approx, rm.abs_error,
+                     ratio_out])
     _emit_grid(
         ["h", "simpson", "simpson_abs_error", "msimpson", "msimpson_abs_error",
          "error_ratio"],

@@ -420,13 +420,13 @@ class Tracer:
         """A generator ``f(a, b, h, m, c, we, wm)`` of ``c * (we*fa + wm*fm +
         we*fb)`` over the pairs of subintervals of the ``m`` (even) steps of
         width ``h`` from ``a`` to ``b``, the lines inlined at each node.  Node
-        ``j`` is ``a + j * h`` for ``j < m`` and ``b`` for ``j = m``, exactly as
-        :meth:`~msquad.integrand.UniformGrid.nodes` places them.  It checks
-        nothing the lines do not, and wraps no error."""
+        ``j`` is ``a`` for ``j = 0``, ``a + j * h`` for ``0 < j < m`` and ``b``
+        for ``j = m``, exactly as :meth:`~msquad.integrand.UniformGrid.nodes`
+        places them.  It checks nothing the lines do not, and wraps no error."""
         def at(indent, name):
             return self._block(indent, f"{name} = {_src(result)}")
 
-        return self._define("a, b, h, m, c, we, wm", f"    x = a + 0 * h\n{at(4, 'fa')}"
+        return self._define("a, b, h, m, c, we, wm", f"    x = a\n{at(4, 'fa')}"
                             "    for j in range(2, m + 1, 2):\n"
                             f"        x = a + (j - 1) * h\n{at(8, 'fm')}"
                             f"        x = a + j * h if j < m else b\n{at(8, 'fb')}"

@@ -53,8 +53,8 @@ class Interval(_IntervalFields):
 
     @property
     def midpoint(self) -> float:
-        # a + h with h = (b - a)/2; shared with UniformGrid node placement
-        # so single-pair composites match the panel rules bitwise.
+        # a + h with h = (b - a)/2: node 1 of a one-pair UniformGrid, so the
+        # midpoint rules sample f where the Simpson rules do on one pair.
         return self.a + 0.5 * (self.b - self.a)
 
 
@@ -93,10 +93,12 @@ class UniformGrid(_GridFields):
 
     def nodes(self) -> Iterator[float]:
         """Grid nodes ``x_j = a + j*h`` in increasing order, generated one
-        at a time; the last node is exactly ``b``."""
+        at a time; the first node is exactly ``a`` (``-0.0 + 0*h`` would be
+        ``+0.0``) and the last exactly ``b``."""
         a = self.interval.a
         h = self.h
-        for j in range(2 * self.n_pairs):
+        yield a
+        for j in range(1, 2 * self.n_pairs):
             yield a + j * h
         yield self.interval.b
 

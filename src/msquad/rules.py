@@ -1,11 +1,13 @@
-"""Single-panel and composite quadrature rules.
+"""Single-panel midpoint rules and composite Simpson rules.
 
 Four rules are provided: the midpoint rule, the endpoint-corrected
 midpoint rule, Simpson's rule, and the endpoint-corrected Simpson rule
 with weights 7/30, 16/30, 7/30 (exact for polynomials of degree 5).
-Composite forms run over a :class:`~msquad.integrand.UniformGrid`; the
-derivative corrections telescope, so only the two global endpoint
-derivatives are ever evaluated.  An expression integrand sums its pairs in
+The midpoint rules take one panel.  The Simpson rules run over a
+:class:`~msquad.integrand.UniformGrid`, and over one pair of subintervals
+they are the three-point panel itself; the derivative corrections
+telescope, so only the two global endpoint derivatives are ever
+evaluated.  An expression integrand sums its pairs in
 one traced loop that places the grid's nodes and inlines its point values,
 each repeated subexpression computed once per node; any error in it is
 replayed through the checked streaming loop that every callable integrand
@@ -58,10 +60,6 @@ class QuadResult(NamedTuple):
 _PAIRS = {Rule.SIMPSON: (3.0, 1.0, 4.0), Rule.MODIFIED_SIMPSON: (15.0, 7.0, 16.0)}
 
 
-def _pair(fa: float, fm: float, fb: float, h: float, d: float, we: float, wm: float) -> float:
-    return (h / d) * (we * fa + wm * fm + we * fb)
-
-
 def _finite(value: float, what: str) -> float:
     """``value``, or :class:`EvaluationError` if it is inf or NaN.
 
@@ -88,24 +86,6 @@ def corrected_midpoint_panel(f: Integrand, iv: Interval) -> float:
     return _finite(w * f(iv.midpoint) + correction, "cmidpoint rule value")
 
 
-def simpson_panel(f: Integrand, iv: Interval) -> float:
-    """Simpson's rule ``(b-a)/6 * [f(a) + 4 f(m) + f(b)]``."""
-    h = 0.5 * iv.width
-    value = _pair(f(iv.a), f(iv.midpoint), f(iv.b), h, *_PAIRS[Rule.SIMPSON])
-    return _finite(value, "simpson rule value")
-
-
-def modified_simpson_panel(f: Integrand, iv: Interval) -> float:
-    """Endpoint-corrected Simpson rule, exact through degree 5.
-
-    ``(b-a)/30 * [7 f(a) + 16 f(m) + 7 f(b)] - (b-a)^2/60 * [f'(b) - f'(a)]``
-    """
-    h = 0.5 * iv.width
-    weighted = _pair(f(iv.a), f(iv.midpoint), f(iv.b), h, *_PAIRS[Rule.MODIFIED_SIMPSON])
-    correction = (h * h / 15.0) * (f.derivative(1, iv.b) - f.derivative(1, iv.a))
-    return _finite(weighted - correction, "msimpson rule value")
-
-
 def _pair_sum(f: Integrand, grid: UniformGrid, rule: Rule) -> float:
     """Correctly rounded sum of the rule's pair terms over the grid.
 
@@ -121,10 +101,11 @@ def _pair_sum(f: Integrand, grid: UniformGrid, rule: Rule) -> float:
     """
     h = grid.h
     d, we, wm = _PAIRS[rule]
+    c = h / d
     if f._pair_terms is not None:
         iv = grid.interval
         try:
-            total = math.fsum(f._pair_terms(iv.a, iv.b, h, grid.n_subintervals, h / d, we, wm))
+            total = math.fsum(f._pair_terms(iv.a, iv.b, h, grid.n_subintervals, c, we, wm))
         except Exception:  # the replay raises it as the checked path does
             total = math.nan
         if math.isfinite(total):
@@ -134,7 +115,7 @@ def _pair_sum(f: Integrand, grid: UniformGrid, rule: Rule) -> float:
     def terms():
         fa = next(values)
         for fm, fb in zip(values, values):
-            yield _pair(fa, fm, fb, h, d, we, wm)
+            yield c * (we * fa + wm * fm + we * fb)
             fa = fb
 
     try:
@@ -158,8 +139,8 @@ def composite_modified_simpson(f: Integrand, grid: UniformGrid) -> QuadResult:
 
     The per-pair derivative corrections telescope, so ``f'`` is evaluated
     at exactly two points (the global endpoints) regardless of the pair
-    count.  With a single pair this reproduces
-    :func:`modified_simpson_panel` bitwise.
+    count.  With a single pair this is the three-point panel
+    ``(b-a)/30 * [7 f(a) + 16 f(m) + 7 f(b)] - (b-a)^2/60 * [f'(b) - f'(a)]``.
     """
     total = _pair_sum(f, grid, Rule.MODIFIED_SIMPSON)
     h = grid.h

@@ -32,11 +32,10 @@ from msquad.reference import convergence_study, reference_integral
 from msquad.rules import (
     Rule,
     composite_modified_simpson,
+    composite_simpson,
     corrected_midpoint_panel,
     leading_error_estimate,
     midpoint_panel,
-    modified_simpson_panel,
-    simpson_panel,
 )
 
 UNIT = Interval(0.0, 1.0)
@@ -52,11 +51,12 @@ def check(criterion: int, description: str, failures: list[str]) -> None:
 
 def test_criterion_1_exp_panel_example():
     failures = []
-    got = modified_simpson_panel(EXP, SYM)
+    panel = UniformGrid(SYM, 1)  # one pair of subintervals is the single panel
+    got = composite_modified_simpson(EXP, panel).value
     closed = (6.0 * math.e + 16.0 + 8.0 / math.e) / 15.0
     if abs(got - closed) / abs(closed) > 1e-12:
         failures.append(f"panel value {got!r} != closed form {closed!r}")
-    simpson = simpson_panel(EXP, SYM)
+    simpson = composite_simpson(EXP, panel).value
     if f"{got:.5g}" != "2.3502":
         failures.append(f"modified prints {got:.5g}, want 2.3502")
     if f"{simpson:.5g}" != "2.3621":
@@ -112,7 +112,7 @@ def test_criterion_4_exactness_suite():
             exact = poly_integral([F(c) for c in coeffs], F(a), F(b))
         f = poly_integrand(coeffs)
         iv = Interval(a, b)
-        panel = modified_simpson_panel(f, iv)
+        panel = composite_modified_simpson(f, UniformGrid(iv, 1)).value
         composite = composite_modified_simpson(f, UniformGrid(iv, rng.randint(1, 8))).value
         for label, got in (("panel", panel), ("composite", composite)):
             rel = abs(got - float(exact)) / abs(float(exact))

@@ -23,7 +23,7 @@ from msquad.integrand import Integrand, Interval, UniformGrid
 from msquad.jets import expression_integrand
 from msquad.kernels import scaled_constants
 from msquad.reference import reference_integral
-from msquad.rules import composite_modified_simpson, modified_simpson_panel
+from msquad.rules import composite_modified_simpson
 
 UNIT = Interval(0.0, 1.0)
 EXP = Integrand.from_callables(math.exp, *[math.exp] * 6)
@@ -31,7 +31,7 @@ EXP = Integrand.from_callables(math.exp, *[math.exp] * 6)
 
 def true_panel_error(f: Integrand, iv: Interval) -> float:
     ref = reference_integral(f, iv, tol=1e-13).value
-    return ref - modified_simpson_panel(f, iv)
+    return ref - composite_modified_simpson(f, UniformGrid(iv, 1)).value
 
 
 def unit_bounds(k: int, rng: DerivativeRange, slope: SecantSlope) -> BoundReport:
@@ -216,9 +216,36 @@ def test_midpoint_bounds_comparison():
         midpoint_bounds(-1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("args,message", [
+    ((math.nan, 0.0, 1.0), "sup norm must be non-negative"),
+    ((0.0, math.nan, 1.0), "sup norm must be non-negative"),
+    ((1.0, -1.0, 1.0), "sup norm must be non-negative"),
+    ((1.0, 1.0, -1.0), "interval length must be positive"),
+    ((1.0, 1.0, 0.0), "interval length must be positive"),
+    ((1.0, 1.0, math.nan), "interval length must be positive"),
+])
+def test_midpoint_bounds_validation(args, message):
+    with pytest.raises(ValueError, match=message):
+        midpoint_bounds(*args)
+
+
 def test_simpson_classic_bound_values():
     assert simpson_classic_bound(1.0, 1.0, 2.0) == pytest.approx(1.0 / 90.0, rel=1e-15)
     assert simpson_classic_bound(0.0, 1.0, 2.0) == 0.0
+
+
+@pytest.mark.parametrize("args,message", [
+    ((math.nan, 0.5, 1.0), "sup norm must be non-negative"),
+    ((-1.0, 0.5, 1.0), "sup norm must be non-negative"),
+    ((1.0, -0.5, 1.0), "grid spacing must be positive"),
+    ((1.0, 0.0, 1.0), "grid spacing must be positive"),
+    ((1.0, math.nan, 1.0), "grid spacing must be positive"),
+    ((1.0, 0.5, -1.0), "interval length must be positive"),
+    ((1.0, 0.5, math.nan), "interval length must be positive"),
+])
+def test_simpson_classic_bound_validation(args, message):
+    with pytest.raises(ValueError, match=message):
+        simpson_classic_bound(*args)
 
 
 def test_overflowing_power_is_an_evaluation_error():

@@ -81,6 +81,75 @@ def test_zero_width_interval_yields_zero():
     assert json.loads(out)["best"] == 0.0
 
 
+def _record_keys(out: str, fmt: str) -> list[str]:
+    """A printed record's keys, in the order printed (JSON sorts them)."""
+    if fmt == "json":
+        return list(json.loads(out))
+    if fmt == "csv":
+        return out.splitlines()[0].split(",")
+    return [line.split()[0] for line in out.splitlines()]
+
+
+@pytest.mark.parametrize("reference", [(), ("--reference",)], ids=["plain", "reference"])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("rule", ["midpoint", "cmidpoint", "simpson", "msimpson"])
+def test_zero_width_integrate_prints_the_keys_of_any_interval(rule, fmt, reference):
+    def record(b):
+        code, out, err = invoke("integrate", "--rule", rule, "--f", "exp(x)", "-a", "0",
+                                "-b", b, *reference, "--format", fmt)
+        assert (code, err) == (0, "")
+        return out
+
+    assert _record_keys(record("0"), fmt) == _record_keys(record("1"), fmt)
+    if fmt == "json":
+        payload = json.loads(record("0"))
+        assert payload["value"] == 0.0
+        assert payload["leading_error_estimate"] == (0.0 if rule == "msimpson" else None)
+        if rule in ("midpoint", "cmidpoint"):
+            assert payload["n_pairs"] == 1
+        else:
+            assert (payload["n_pairs"], payload["h"]) == (8, 0.0)
+
+
+@pytest.mark.parametrize("k", ["2", "3", "4", "5", "6"])
+def test_zero_width_bounds_prints_the_keys_of_any_interval(k):
+    def record(b):
+        code, out, err = invoke("bounds", "--f", "exp(x)", "-a", "0", "-b", b, "-k", k,
+                                "--format", "csv")
+        assert (code, err) == (0, "")
+        return out.splitlines()
+
+    zero, unit = record("0"), record("1")
+    assert zero[0] == unit[0]
+    values = dict(zip(zero[0].split(","), zero[1].split(",")))
+    assert values.pop("range_provenance") == "user-supplied"
+    assert values.pop("rigorous") == "True"
+    assert (values.pop("k"), values.pop("a"), values.pop("b"), values.pop("n_pairs")) == (
+        k, "0.0", "0.0", "8")
+    assert set(values.values()) == {"0.0"}
+
+
+@pytest.mark.parametrize("command", [("converge", "--rule", "simpson"), ("converge",),
+                                     ("compare",)], ids=" ".join)
+def test_reversed_study_negates_only_the_integrals(command):
+    def table(a, b):
+        code, out, err = invoke(*command, "--f", "exp(-x^2)*sin(3*x)", "-a", a, "-b", b,
+                                "--n-list", "1,2,4", "--format", "json")
+        assert (code, err) == (0, "")
+        return json.loads(out)
+
+    fwd, rev = table("0", "1.5"), table("1.5", "0")
+    columns = fwd.pop("columns")
+    assert rev.pop("columns") == columns
+    rows_fwd, rows_rev = fwd.pop("rows"), rev.pop("rows")
+    assert len(rows_fwd) == len(rows_rev) == 3
+    for row_fwd, row_rev in zip(rows_fwd, rows_rev):
+        want = [-v if c in ("approx", "simpson", "msimpson") else v
+                for v, c in zip(row_fwd, columns)]
+        assert list(map(repr, row_rev)) == list(map(repr, want))  # bit for bit
+    assert fwd == rev  # the fitted orders
+
+
 def test_midpoint_rules_available():
     code, out, _ = invoke("integrate", "--rule", "midpoint", "--f", "x^2",
                           "-a", "0", "-b", "1", "--format", "json")

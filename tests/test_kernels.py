@@ -11,7 +11,7 @@ from helpers import (
     poly_integral,
     poly_nth_derivative,
 )
-from msquad.integrand import Integrand, Interval
+from msquad.integrand import Integrand, Interval, UniformGrid
 from msquad.kernels import (
     _LEFT_F,
     KERNEL_ORDERS,
@@ -20,6 +20,7 @@ from msquad.kernels import (
     scaled_constants,
 )
 from msquad.reference import reference_integral
+from msquad.rules import composite_modified_simpson
 
 SQRT19 = math.sqrt(19.0)
 
@@ -253,9 +254,7 @@ def test_scaled_kernel_identity_smooth():
     f = Integrand.from_callables(math.exp, *[math.exp] * 6)
     iv = Interval(-0.3, 0.9)
     ref = reference_integral(f, iv, tol=1e-13).value
-    from msquad.rules import modified_simpson_panel
-
-    true_error = ref - modified_simpson_panel(f, iv)
+    true_error = ref - composite_modified_simpson(f, UniformGrid(iv, 1)).value
     for k in KERNEL_ORDERS:
         g = Integrand(lambda t: scaled_kernel(k, t, iv) * math.exp(t))
         mid = iv.a + 0.5 * iv.width

@@ -13,17 +13,18 @@ PUBLIC_NAMES = [
     "composite_modified_simpson", "composite_simpson", "convergence_study",
     "corrected_midpoint_panel", "derivatives", "estimate_derivative_range", "evaluate",
     "expression_integrand", "kernel", "kernel_eval", "leading_error_estimate",
-    "midpoint_bounds", "midpoint_panel", "modified_simpson_panel", "parse",
-    "reference_integral", "scaled_constants", "secant_slope", "simpson_classic_bound",
-    "simpson_panel", "to_string",
+    "midpoint_bounds", "midpoint_panel", "parse", "reference_integral",
+    "scaled_constants", "secant_slope", "simpson_classic_bound", "to_string",
 ]
 
-# Bound and kernel entry points that nothing in the package called; each has a
-# kept equivalent (composite_bounds, composite_bound_k6, scaled_constants).
+# Entry points that nothing in the package called; each has a kept equivalent
+# (composite_bounds, composite_bound_k6, scaled_constants, and the one-pair
+# composite_simpson and composite_modified_simpson).
 DELETED_NAMES = {
     "bounds": ("panel_bound_k6", "panel_bounds", "unit_bounds"),
     "kernels": ("kernel_abs_integral", "kernel_eval_scaled", "kernel_max_abs",
                 "kernel_moment"),
+    "rules": ("modified_simpson_panel", "simpson_panel"),
 }
 
 

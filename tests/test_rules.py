@@ -23,14 +23,11 @@ from msquad.jets import expression_integrand
 from msquad.rules import (
     _PAIRS,
     Rule,
-    _pair,
     composite_modified_simpson,
     composite_simpson,
     corrected_midpoint_panel,
     leading_error_estimate,
     midpoint_panel,
-    modified_simpson_panel,
-    simpson_panel,
 )
 
 EXP = Integrand.from_callables(math.exp, *[math.exp] * 6, name="exp")
@@ -40,6 +37,16 @@ SYM = Interval(-1.0, 1.0)
 
 def rel_err(got: float, want: float) -> float:
     return abs(got - want) / max(abs(want), 1e-300)
+
+
+def simpson_panel(f: Integrand, iv: Interval) -> float:
+    """Simpson's rule on one panel: the composite over one pair."""
+    return composite_simpson(f, UniformGrid(iv, 1)).value
+
+
+def modified_simpson_panel(f: Integrand, iv: Interval) -> float:
+    """The corrected Simpson rule on one panel: the composite over one pair."""
+    return composite_modified_simpson(f, UniformGrid(iv, 1)).value
 
 
 # -- single-panel examples -----------------------------------------------------
@@ -248,13 +255,18 @@ def test_linearity(rule):
 
 
 def test_single_pair_composite_matches_panel_bitwise():
+    # the three-point panel written out: h = (b - a)/2, m = a + h
     rng = random.Random(99)
     for _ in range(20):
         a = rng.uniform(-2.0, 1.0)
         b = a + rng.uniform(0.3, 2.0)
-        iv = Interval(a, b)
-        composite = composite_modified_simpson(EXP, UniformGrid(iv, 1)).value
-        assert composite == modified_simpson_panel(EXP, iv)
+        h = (b - a) / 2
+        fa, fm, fb = math.exp(a), math.exp(a + h), math.exp(b)
+        simpson = (h / 3.0) * (fa + 4.0 * fm + fb)
+        corrected = (h / 15.0) * (7.0 * fa + 16.0 * fm + 7.0 * fb) - (h * h / 15.0) * (fb - fa)
+        grid = UniformGrid(Interval(a, b), 1)
+        assert composite_simpson(EXP, grid).value == simpson
+        assert composite_modified_simpson(EXP, grid).value == corrected
 
 
 def test_derivative_telescoping():
@@ -290,6 +302,17 @@ def test_derivative_telescoping_on_the_fused_path():
         assert sorted(calls[1]) == [-1.0, 2.0]
         assert len(calls[5]) == 2
         assert sorted(calls) == [1, 5]
+
+
+@pytest.mark.parametrize("f", [expression_integrand("1/x"), Integrand(lambda x: 1.0 / x)],
+                         ids=["traced", "streamed"])
+@pytest.mark.parametrize("rule", [composite_simpson, composite_modified_simpson])
+def test_first_node_is_exactly_a(rule, f):
+    # -0.0 + 0*h would be +0.0; the grid starts at a itself
+    grid = UniformGrid(Interval(-0.0, 1.0), 1)
+    assert math.copysign(1.0, next(grid.nodes())) == -1.0
+    with pytest.raises(EvaluationError, match=r"division by zero \(at x = -0\.0\)$"):
+        rule(f, grid)
 
 
 def test_point_error_comes_before_derivative_error():
@@ -422,7 +445,7 @@ def _term_hexes(terms) -> list:
 
 @settings(max_examples=300, deadline=None)
 @given(EDGE_TREES, EDGE_LIMITS, EDGE_LIMITS, st.integers(1, 200), st.sampled_from(list(_PAIRS)))
-# a = -0.0: the first node is a + 0*h = +0.0, which -x*0 tells from -0.0
+# a = -0.0: the first node is a itself, which -x*0 tells from a + 0*h = +0.0
 @example(parse("-x*0"), -0.0, 1.0, 3, Rule.SIMPSON)
 @example(parse("-x*0"), -0.0, 2e-323, 1, Rule.MODIFIED_SIMPSON)  # h is subnormal
 # n = 1, and a last node that is b although a + 2*h is 0.18999999999999995
@@ -441,7 +464,7 @@ def test_fused_pair_terms_match_the_checked_stream(tree, a, b, n, rule):
     def checked():
         fa = next(values)
         for fm, fb in zip(values, values):
-            yield _pair(fa, fm, fb, grid.h, d, we, wm)
+            yield (grid.h / d) * (we * fa + wm * fm + we * fb)
             fa = fb
 
     want = _term_hexes(checked())
