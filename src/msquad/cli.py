@@ -305,7 +305,6 @@ def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> int:
     from .bounds import (
         BoundReport,
         DerivativeRange,
-        SecantSlope,
         composite_bound_k6,
         composite_bounds,
         estimate_derivative_range,
@@ -321,9 +320,8 @@ def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> int:
 
     # A zero-width interval (iv is None) keeps these: h, the range of f^(k),
     # the secant and every bound are 0 there.
-    h = 0.0
+    h = secant = bound = 0.0
     rng = DerivativeRange(k=k, lower=0.0, upper=0.0, provenance="user-supplied")
-    slope = SecantSlope(k=k - 1, value=0.0)
     report = BoundReport(k, 0.0, 0.0, 0.0, 0.0, 0.0, rigorous=True)
     if iv is not None:
         h = _grid(iv, args.n).h
@@ -343,8 +341,11 @@ def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> int:
                 )
             except ValueError as exc:  # the --samples and --safety limits
                 raise _UsageError(str(exc)) from exc
-        if k < 6:
+        if k == 6:
+            bound = composite_bound_k6(rng.sup_abs, h, iv.width)
+        else:
             slope = secant_slope(f, k - 1, iv)
+            secant = slope.value
             report = composite_bounds(k, rng, slope, h, iv.width)
 
     payload: dict[str, object] = {
@@ -359,10 +360,10 @@ def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> int:
     }
     if k == 6:
         payload["sup_f6"] = rng.sup_abs
-        payload["bound"] = 0.0 if iv is None else composite_bound_k6(rng.sup_abs, h, iv.width)
+        payload["bound"] = bound
         payload["rigorous"] = rng.rigorous
     else:
-        payload["secant"] = slope.value
+        payload["secant"] = secant
         payload.update(report._asdict())  # its k is the k already in place
     _emit_record(payload, args.format, out)
     return _EXIT_OK
