@@ -262,6 +262,18 @@ def _golden_polish(
     return sign * best
 
 
+def _check_sampling(k: int, n_samples: int, safety: float) -> None:
+    """Raise ValueError unless :func:`estimate_derivative_range` takes these."""
+    if not 1 <= k <= 6:
+        raise ValueError(f"derivative order must be in 1..6, got {k}")
+    if n_samples < 8:
+        raise ValueError(f"need at least 8 samples, got {n_samples}")
+    if not safety >= 1.0:  # a NaN factor fails here too
+        raise ValueError(f"safety factor must be >= 1, got {safety}")
+    if safety == math.inf:
+        raise ValueError("safety factor must be finite, got inf")
+
+
 def estimate_derivative_range(
     f: Integrand,
     k: int,
@@ -291,14 +303,7 @@ def estimate_derivative_range(
     the error, so the first failing abscissa and its message are those of
     the checked path.
     """
-    if not 1 <= k <= 6:
-        raise ValueError(f"derivative order must be in 1..6, got {k}")
-    if n_samples < 8:
-        raise ValueError(f"need at least 8 samples, got {n_samples}")
-    if not safety >= 1.0:  # a NaN factor fails here too
-        raise ValueError(f"safety factor must be >= 1, got {safety}")
-    if safety == math.inf:
-        raise ValueError("safety factor must be finite, got inf")
+    _check_sampling(k, n_samples, safety)
 
     checked = f.derivative
     if f._pair_terms is None:

@@ -9,8 +9,8 @@ Exit codes: 0 success, 1 usage error (or stdout closed early, as by
 Reversed limits (a > b) are normalized by swapping before anything
 reaches the library, and every integral printed is negated back.  A
 zero-width interval gives zero integrals and zero bounds, with the keys
-the same command prints on any other interval; ``converge`` and
-``compare`` reject it.
+and option checks of the same command on any other interval; ``converge``
+and ``compare`` reject it.
 """
 
 from __future__ import annotations
@@ -276,13 +276,15 @@ def _cmd_integrate(args: argparse.Namespace, out: TextIO) -> int:
             h = grid.h
             result = COMPOSITE_RULES[rule](f, grid)
             value, estimate = result.value, result.leading_error_estimate
-        if args.reference:
-            from .reference import reference_integral
+    if args.reference:  # the tolerance is checked on every interval
+        from .reference import _check_tolerance, reference_integral
 
-            try:
+        try:
+            _check_tolerance(args.tol)
+            if iv is not None:
                 ref = reference_integral(f, iv, args.tol).value
-            except ValueError as exc:  # the tolerance limit
-                raise _UsageError(f"--tol: {exc}") from exc
+        except ValueError as exc:  # the tolerance limit
+            raise _UsageError(f"--tol: {exc}") from exc
 
     payload: dict[str, object] = {
         "rule": rule.value,
@@ -305,6 +307,7 @@ def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> int:
     from .bounds import (
         BoundReport,
         DerivativeRange,
+        _check_sampling,
         composite_bound_k6,
         composite_bounds,
         estimate_derivative_range,
@@ -325,22 +328,27 @@ def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> int:
     report = BoundReport(k, 0.0, 0.0, 0.0, 0.0, 0.0, rigorous=True)
     if iv is not None:
         h = _grid(iv, args.n).h
-        if args.lower is not None:
-            if not (math.isfinite(args.lower) and math.isfinite(args.upper)):
-                raise _UsageError("--lower and --upper must be finite")
-            if args.lower > args.upper:
-                raise _UsageError("--lower must not exceed --upper")
+    # the range options are checked on every interval, a zero-width one too
+    if args.lower is not None:
+        if not (math.isfinite(args.lower) and math.isfinite(args.upper)):
+            raise _UsageError("--lower and --upper must be finite")
+        if args.lower > args.upper:
+            raise _UsageError("--lower must not exceed --upper")
+        if iv is not None:
             rng = DerivativeRange(k=k, lower=args.lower, upper=args.upper,
                                   provenance="user-supplied")
-        else:
-            if args.samples > _MAX_SAMPLES:
-                raise _UsageError(f"--samples: at most {_MAX_SAMPLES}, got {args.samples}")
-            try:
+    else:
+        if args.samples > _MAX_SAMPLES:
+            raise _UsageError(f"--samples: at most {_MAX_SAMPLES}, got {args.samples}")
+        try:
+            _check_sampling(k, args.samples, args.safety)
+            if iv is not None:
                 rng = estimate_derivative_range(
                     f, k, iv, n_samples=args.samples, safety=args.safety
                 )
-            except ValueError as exc:  # the --samples and --safety limits
-                raise _UsageError(str(exc)) from exc
+        except ValueError as exc:  # the --samples and --safety limits
+            raise _UsageError(str(exc)) from exc
+    if iv is not None:
         if k == 6:
             bound = composite_bound_k6(rng.sup_abs, h, iv.width)
         else:

@@ -289,8 +289,16 @@ def _operand(v) -> str:
     return f"({v})" if isinstance(v, _Expr) else _src(v)
 
 
-def _infix(op: str):
-    return lambda self, a, b: _Expr(f"{_operand(a)} {op} {_operand(b)}")
+def _infix(op: str, fold: Callable | None = None):
+    """``op`` of the tracer; ``fold`` computes it on constants (see :class:`Tracer`)."""
+    def apply(self, a, b):
+        x, y = self.known(a), self.known(b)
+        if fold and x is not None and y is not None and (op != "/" or y != 0.0):
+            return self.const(fold(x, y))
+        if op in "*/" and y == 1.0 or op == "-" and y == 0.0 and math.copysign(1.0, y) > 0:
+            return a
+        return b if op == "*" and x == 1.0 else _Expr(f"{_operand(a)} {op} {_operand(b)}")
+    return apply
 
 
 # A traced temporary (no other name in traced source ends in "t" and digits),
@@ -312,13 +320,20 @@ class Tracer:
     or an expression that ``let`` binds to a local.  Constants enter as
     names bound to their exact values, so no user text reaches the source;
     equal constants share a name (keyed on ``repr``, which tells -0.0 from
-    0.0).  Negating a finite constant is exact, so it folds.  An expression
-    already bound is not bound again, nor is a check already made emitted
-    again: the lines are straight-line, each name is assigned once and every
-    operation is deterministic, so the first line holds the value, or has
-    raised the error, that a repeat would.  Nothing else folds.  When the
-    lines become a function, a temporary used once whose definition only
-    adds, subtracts, multiplies or negates is inlined at its use (see
+    0.0).  An expression already bound is not bound again, nor is a check
+    already made emitted again: the lines are straight-line, each name is
+    assigned once and every operation is deterministic, so the first line
+    holds the value, or has raised the error, that a repeat would.
+
+    Only identities true of every binary64 value (signed zeros, infinities,
+    NaN) simplify, and what remains keeps its order.  ``neg``, ``+``, ``-``,
+    ``*`` and ``/`` (by non-zero) of finite constants happen now, as the same
+    operations, none of which raises.  ``1 * t``, ``t * 1``, ``t / 1`` and
+    ``t - 0.0`` are ``t`` for every ``t``, -0.0 too.  ``t + 0.0`` stays, as
+    ``-0.0 + 0.0`` is ``0.0``, and ``0.0 * t``, as it is NaN for ``t`` = inf.
+
+    When the lines become a function, a temporary used once whose definition
+    only adds, subtracts, multiplies or negates is inlined at its use (see
     ``_block``), and the scope's constants and functions are its locals.
     """
 
@@ -356,11 +371,12 @@ class Tracer:
         value = self.known(a)
         return _Expr(f"-{_operand(a)}") if value is None else self.const(-value)
 
-    add, sub, mul, div, pow = (_infix(op) for op in ("+", "-", "*", "/", "**"))
+    add, sub, mul, div = (_infix(op, getattr(Binary64, name)) for op, name in _INFIX.items())
+    pow = _infix("**")
     exp, log, sin, cos, tan, sqrt = (_call(fn) for fn in FUNCTIONS)
 
     def fsum(self, terms):
-        # math.fsum of nothing is 0.0; of one item it is not always the item
+        # math.fsum of nothing is 0.0; the walker writes one term t as t + 0.0
         return f"fsum({_src(tuple(terms))})" if terms else 0.0
 
     def check(self, v, test: str, message: str) -> None:

@@ -13,6 +13,12 @@ operation are written once, against the scalar arithmetic of
 :mod:`msquad.expressions`.  On ``Binary64`` they are :func:`derivatives`,
 the reference, and on ``Tracer`` they write the straight-line function that
 :func:`compile_jet` returns.  A :class:`TaylorJet` is just a result.
+
+Each sum of products is one ``_sum``: it drops the terms known to be zero
+(zero constants when traced, values equal to 0.0 on floats) and writes one
+term ``t`` as ``t + 0.0``.  On CPython 3.11 neither changes a bit: ``fsum``
+ignores zeros of either sign, and ``fsum((t,))`` is ``t + 0.0`` for every
+``t``.  The rule is the walker's, so both arithmetics agree on any Python.
 """
 
 from __future__ import annotations
@@ -79,9 +85,9 @@ class TaylorJet:
 #
 # A jet is a tuple of one to seven values of arithmetic ``A``, each
 # coefficient one ``let``; the operands of one operation have one length,
-# the jet's order plus one.  Each sum of products is one ``fsum``: traced,
-# the products stay inside the call, where binding each to a local would
-# only add stores.  Coefficient j of every recurrence reads the input
+# the jet's order plus one.  Each sum of products is one ``_sum``: traced,
+# the products stay inside its ``fsum`` call, where binding each to a local
+# would only add stores.  Coefficient j of every recurrence reads the input
 # coefficients 0..j only, so nothing above the order is computed, and an
 # order fails only where its own coefficients or lower ones raise (an
 # ``fsum`` raises on inf - inf, or on overflow).  Up to the order every
@@ -100,17 +106,22 @@ def _constant(c, like):
     return (c,) + (0.0,) * (len(like) - 1)
 
 
+def _sum(A, terms):
+    """``math.fsum`` of ``terms``, as the module docstring writes it."""
+    terms = [t for t in terms if A.known(t) != 0.0]
+    return A.add(terms[0], 0.0) if len(terms) == 1 else A.fsum(terms)
+
+
 def _mul(A, a, b):
-    return tuple(
-        A.let(A.fsum([A.mul(a[i], b[j - i]) for i in range(j + 1)])) for j in range(len(a))
-    )
+    return tuple(A.let(_sum(A, [A.mul(a[i], b[j - i]) for i in range(j + 1)]))
+                 for j in range(len(a)))
 
 
 def _div(A, a, b):
     """The quotient, once the caller has checked ``b[0]``."""
     q = [A.let(A.div(a[0], b[0]))]
     for j in range(1, len(a)):
-        acc = A.sub(a[j], A.fsum([A.mul(b[i], q[j - i]) for i in range(1, j + 1)]))
+        acc = A.sub(a[j], _sum(A, [A.mul(b[i], q[j - i]) for i in range(1, j + 1)]))
         q.append(A.let(A.div(acc, b[0])))
     return tuple(q)
 
@@ -124,7 +135,7 @@ def _exp(A, a):
     u = [A.let(A.exp(a[0]))]
     d = _scaled(A, a)
     for k in range(1, len(a)):
-        u.append(A.let(A.div(A.fsum([A.mul(d[j], u[k - j]) for j in range(1, k + 1)]), k)))
+        u.append(A.let(A.div(_sum(A, [A.mul(d[j], u[k - j]) for j in range(1, k + 1)]), k)))
     return tuple(u)
 
 
@@ -133,7 +144,7 @@ def _log(A, a):
     u = [A.let(A.log(a[0]))]
     for k in range(1, len(a)):
         terms = [A.mul(A.mul(j / k, u[j]), a[k - j]) for j in range(1, k)]
-        u.append(A.let(A.div(A.sub(a[k], A.fsum(terms)), a[0])))
+        u.append(A.let(A.div(A.sub(a[k], _sum(A, terms)), a[0])))
     return tuple(u)
 
 
@@ -142,8 +153,8 @@ def _sin_cos(A, a):
     c = [A.let(A.cos(a[0]))]
     d = _scaled(A, a)
     for k in range(1, len(a)):
-        s.append(A.let(A.div(A.fsum([A.mul(d[j], c[k - j]) for j in range(1, k + 1)]), k)))
-        c.append(A.let(A.div(A.neg(A.fsum([A.mul(d[j], s[k - j]) for j in range(1, k + 1)])), k)))
+        s.append(A.let(A.div(_sum(A, [A.mul(d[j], c[k - j]) for j in range(1, k + 1)]), k)))
+        c.append(A.let(A.div(A.neg(_sum(A, [A.mul(d[j], s[k - j]) for j in range(1, k + 1)])), k)))
     return tuple(s), tuple(c)
 
 
@@ -153,7 +164,7 @@ def _sqrt(A, a):
     twice = A.let(A.mul(2.0, u[0]))
     for k in range(1, len(a)):
         terms = [A.mul(u[j], u[k - j]) for j in range(1, k)]
-        u.append(A.let(A.div(A.sub(a[k], A.fsum(terms)), twice)))
+        u.append(A.let(A.div(A.sub(a[k], _sum(A, terms)), twice)))
     return tuple(u)
 
 

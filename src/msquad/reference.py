@@ -156,6 +156,12 @@ def _units(x: float) -> int:
     return n << (1075 - d.bit_length())
 
 
+def _check_tolerance(tol: float) -> None:
+    """Raise ValueError unless :func:`reference_integral` takes ``tol``."""
+    if not tol >= _MIN_TOL:  # a NaN tolerance fails here too
+        raise ValueError(f"tolerance must be >= {_MIN_TOL}, got {tol}")
+
+
 def reference_integral(
     f: Integrand,
     iv: Interval,
@@ -181,8 +187,7 @@ def reference_integral(
     value if the segment limit is hit first, and :class:`EvaluationError`
     if the value overflows.
     """
-    if not tol >= _MIN_TOL:  # a NaN tolerance fails here too
-        raise ValueError(f"tolerance must be >= {_MIN_TOL}, got {tol}")
+    _check_tolerance(tol)
 
     try:
         # heap entries: (-error, insertion counter, lo, hi, value, then the

@@ -129,6 +129,27 @@ def test_zero_width_bounds_prints_the_keys_of_any_interval(k):
     assert set(values.values()) == {"0.0"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("bounds", "-k", "2", "--lower", "2", "--upper", "1"),
+    ("bounds", "-k", "2", "--lower", "nan", "--upper", "1"),
+    ("bounds", "-k", "2", "--samples", "3"),
+    ("bounds", "-k", "2", "--samples", "1000001"),
+    ("bounds", "-k", "6", "--safety", "nan"),
+    ("bounds", "-k", "3", "--safety", "inf"),
+    ("integrate", "--reference", "--tol", "0"),
+    ("integrate", "--reference", "--tol", "nan"),
+], ids=" ".join)
+def test_zero_width_interval_runs_the_option_checks(argv):
+    # an empty interval computes nothing, but its options are the same usage
+    # errors, with the same message, as on any other interval
+    def run_on(b):
+        return invoke(*argv, "--f", "x", "-a", "3", "-b", b)
+
+    code, out, err = run_on("3")
+    assert (code, out, err) == run_on("4")
+    assert code == 1 and err.startswith("msquad: error: ")
+
+
 @pytest.mark.parametrize("command", [("converge", "--rule", "simpson"), ("converge",),
                                      ("compare",)], ids=" ".join)
 def test_reversed_study_negates_only_the_integrals(command):

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import msquad.jets
 from helpers import (
+    BENCH_FAMILIES,
     CORPUS,
     EDGE_ABSCISSAE,
     EDGE_TREES,
@@ -22,7 +24,7 @@ from helpers import (
     symbolic_diff,
 )
 from msquad.errors import DerivativeUnavailableError, EvaluationError
-from msquad.expressions import BinOp, Call, Neg, evaluate, parse, to_string
+from msquad.expressions import BinOp, Call, Neg, Tracer, evaluate, parse, to_string
 from msquad.jets import ORDER, TaylorJet, compile_jet, derivatives, expression_integrand
 
 
@@ -232,17 +234,55 @@ def test_bare_callback_has_no_derivatives():
 # -- compiled jets -------------------------------------------------------------
 
 
-def _reference(tree):
-    return lambda x: derivatives(tree, x).coeffs
+def _reference(tree, order=ORDER):
+    return lambda x: derivatives(tree, x, order).coeffs
 
 
 def test_compiled_jet_matches_propagation_on_corpus_grid():
-    for text in JET_CORPUS:
+    # JET_GRID holds the inputs where a simplification could show: signed
+    # zeros, infinities, NaN and overflowing values
+    for text in JET_CORPUS + BENCH_FAMILIES:
         tree = parse(text)
-        jet = compile_jet(tree)
-        for x in JET_GRID:
-            got, want = outcome(jet, x, any_nan=True), outcome(_reference(tree), x, any_nan=True)
-            assert got == want, (text, x)
+        for order in range(ORDER + 1):
+            jet, reference = compile_jet(tree, order), _reference(tree, order)
+            for x in JET_GRID:
+                got, want = outcome(jet, x, any_nan=True), outcome(reference, x, any_nan=True)
+                assert got == want, (text, order, x)
+
+
+def test_compiled_jets_of_bench_families_carry_no_foldable_arithmetic(monkeypatch):
+    # What the tracer's rules remove: products, quotients and sums of two
+    # constants, unit factors and divisors, subtracted +0.0 and one-term
+    # fsum calls.  The products by 0.0 of run-time values stay: they are NaN
+    # where the value is not finite.
+    bodies = []
+    define = Tracer._define
+    monkeypatch.setattr(Tracer, "_define", lambda self, params, body, filename: (
+        bodies.append((body, self.constants)) or define(self, params, body, filename)))
+    for text in BENCH_FAMILIES:
+        for order in range(1, ORDER + 1):
+            compile_jet(parse(text), order)
+    fsums = 0
+    for body, constants in bodies:
+        def value(node):
+            if isinstance(node, ast.Constant):
+                return node.value
+            return constants.get(node.id) if isinstance(node, ast.Name) else None
+
+        for node in ast.walk(ast.parse(f"def f():\n{body}")):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "fsum":
+                fsums += 1
+                assert len(node.args[0].elts) >= 2, ast.unparse(node)
+            if isinstance(node, ast.BinOp) and not isinstance(node.op, ast.Pow):
+                left, right = value(node.left), value(node.right)
+                assert left is None or right is None, ast.unparse(node)
+                if isinstance(node.op, ast.Mult):
+                    assert 1.0 not in (left, right), ast.unparse(node)
+                if isinstance(node.op, ast.Div):
+                    assert right != 1.0, ast.unparse(node)
+                if isinstance(node.op, ast.Sub) and right == 0.0:
+                    assert math.copysign(1.0, right) < 0, ast.unparse(node)
+    assert fsums <= 900
 
 
 def test_compiled_code_matches_golden_of_earlier_compilers():
