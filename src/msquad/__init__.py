@@ -31,10 +31,10 @@ _EXPORTS = {
         "MsquadError", "ParseError", "ReferenceConvergenceError",
         "SlopeInconsistencyError",
     ),
-    "expressions": ("Expression", "evaluate", "parse", "to_string"),
+    "expressions": ("Expression", "evaluate", "parse"),
     "integrand": ("Integrand", "Interval", "UniformGrid"),
     "jets": ("TaylorJet", "derivatives", "expression_integrand"),
-    "kernels": ("KernelConstants", "PeanoKernel", "kernel", "kernel_eval", "scaled_constants"),
+    "kernels": ("KernelConstants", "kernel_eval", "scaled_constants"),
     "reference": (
         "ConvergenceRow", "ConvergenceTable", "ReferenceResult", "RuleComparison",
         "compare_rules", "convergence_study", "reference_integral",

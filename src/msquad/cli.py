@@ -354,7 +354,10 @@ def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> int:
         else:
             slope = secant_slope(f, k - 1, iv)
             secant = slope.value
-            report = composite_bounds(k, rng, slope, h, iv.width)
+            try:
+                report = composite_bounds(k, rng, slope, h, iv.width)
+            except ValueError as exc:  # a subnormal h misses the pair count
+                raise _UsageError(f"-a/-b, -n: {exc}") from exc
 
     payload: dict[str, object] = {
         "k": k,

@@ -96,9 +96,9 @@ def _tokenize(text: str) -> list[re.Match]:
 
 # -- parser ------------------------------------------------------------------
 
-# How tightly each operator binds, for the parser and the printer alike.  The
-# parser reads the levels below unary minus as left-associative; "^" is
-# right-associative and takes a signed exponent (see parse_unary).
+# How tightly each operator binds.  The parser reads the levels below unary
+# minus as left-associative; "^" is right-associative and takes a signed
+# exponent (see parse_unary).
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 _NEG_PRECEDENCE = 3
 # Each operator, call or pair of parentheses nests its operands one level
@@ -197,52 +197,6 @@ def parse(text: str) -> Expression:
     if tok.lastgroup != "end":
         raise ParseError(f"unexpected trailing input {tok[0]!r}", tok.start(), text)
     return node
-
-
-# -- printer -----------------------------------------------------------------
-
-
-def _prec(node: Expression) -> int:
-    if isinstance(node, BinOp):
-        return _PRECEDENCE[node.op]
-    if isinstance(node, Neg):
-        return _NEG_PRECEDENCE
-    return 9
-
-
-def to_string(node: Expression) -> str:
-    """Render a tree back to text; reparsing it within the nesting bound
-    yields an equal tree."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return "x"
-    if isinstance(node, Const):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.fn}({to_string(node.arg)})"
-    if isinstance(node, Neg):
-        inner = to_string(node.arg)
-        if _prec(node.arg) < _NEG_PRECEDENCE:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, BinOp):
-        p = _PRECEDENCE[node.op]
-        left, right = to_string(node.left), to_string(node.right)
-        if node.op == "^":
-            # right-associative: parenthesize any non-atomic base; the
-            # exponent is a unary, so a negation there stays bare (x^-y)
-            if _prec(node.left) <= p:
-                left = f"({left})"
-            if _prec(node.right) < _NEG_PRECEDENCE:
-                right = f"({right})"
-        else:
-            if _prec(node.left) < p:
-                left = f"({left})"
-            if _prec(node.right) <= p:
-                right = f"({right})"
-        return f"{left}{node.op}{right}"
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 # -- evaluation and compilation ----------------------------------------------

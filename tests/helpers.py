@@ -1,14 +1,16 @@
 """Shared oracles for the test suite.
 
 Everything here is deliberately independent of the library code paths it
-checks: exact rational arithmetic for the rule formulas and kernel
+checks: exact rational arithmetic for the rule formulas, for the Peano
+kernels (derived from the rule, not read from the package) and their
 integrals, hand-coded symbolic derivatives for the corpus functions,
 Richardson-extrapolated finite differences, a tree differentiator for
-the expression AST, a tree walker in mpmath arithmetic, and a kept copy
-of the list-based G7/K15 segment formula the oracle's unrolled sums must
-match bit for bit.  The edge-case trees and the compile corpora at the
-end drive the properties that compare compiled code with the tree walks
-and with the golden digests of an earlier, separately written compiler.
+the expression AST, a printer that turns a tree back into text, a tree
+walker in mpmath arithmetic, and a kept copy of the list-based G7/K15
+segment formula the oracle's unrolled sums must match bit for bit.  The
+edge-case trees and the compile corpora at the end drive the properties
+that compare compiled code with the tree walks and with the golden
+digests of an earlier, separately written compiler.
 """
 
 from __future__ import annotations
@@ -18,13 +20,22 @@ import operator
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from hypothesis import strategies as st
 
-from msquad.expressions import BinOp, Call, Const, Expression, Neg, Num, Var, to_string
+from msquad.expressions import (
+    _NEG_PRECEDENCE,
+    _PRECEDENCE,
+    BinOp,
+    Call,
+    Const,
+    Expression,
+    Neg,
+    Num,
+    Var,
+)
 from msquad.integrand import Integrand
-from msquad.kernels import kernel
 from msquad.reference import _EPS, _WG, _WGK
 from msquad.rules import _finite
 
@@ -57,6 +68,45 @@ def poly_integral(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction) -> Fra
     for i, c in enumerate(coeffs):
         total += c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
     return total
+
+
+class PeanoKernel(NamedTuple):
+    """One error kernel: exact branch coefficients plus its sign factor,
+    ``T_k = sign * left_poly`` on [0, 1/2) and ``sign * right_poly`` on [1/2, 1]."""
+
+    k: int
+    left_poly: tuple[Fraction, ...]
+    right_poly: tuple[Fraction, ...]
+    sign: int
+
+
+def kernel(k: int) -> PeanoKernel:
+    """T_k derived from the rule itself: the error ``E(f) = integral_0^1 f - Q(f)``
+    of ``Q(f) = (7 f(0) + 16 f(1/2) + 7 f(1))/30 - (f'(1) - f'(0))/60``
+    applied to ``f(x) = (x - t)_+^(k-1)/(k-1)!`` gives, for 0 < t < 1,
+
+        T_k(t) = [(1-t)^k/k - (7/30)(1-t)^(k-1) - (16/30)(1/2-t)^(k-1) [t < 1/2]
+                  + ((k-1)/60)(1-t)^(k-2)] / (k-1)!
+
+    expanded here in exact arithmetic, coefficients ascending by power.  The
+    branches are kept unsigned, ``P_k = sign * T_k`` on [0, 1/2) and ``Q_k``
+    on [1/2, 1]: their roots are those of T_k, their leading terms 1/k!."""
+    sign = (-1) ** k
+
+    def power(c: Fraction, m: int) -> list[Fraction]:  # (c - t)^m
+        return [math.comb(m, i) * c ** (m - i) * (-1) ** i for i in range(m + 1)]
+
+    def branch(left: bool) -> tuple[Fraction, ...]:
+        terms = [(F(1, k), F(1), k), (F(-7, 30), F(1), k - 1), (F(k - 1, 60), F(1), k - 2)]
+        if left:
+            terms.append((F(-16, 30), F(1, 2), k - 1))
+        out = [F(0)] * (k + 1)
+        for scale, c, m in terms:
+            for i, a in enumerate(power(c, m)):
+                out[i] += scale * a
+        return tuple(sign * c / math.factorial(k - 1) for c in out)
+
+    return PeanoKernel(k, branch(True), branch(False), sign)
 
 
 def exact_branch_integral(k: int, j: int) -> Fraction:
@@ -433,6 +483,52 @@ EDGE_ABSCISSAE = st.one_of(
     st.floats(allow_nan=False),
 )
 EDGE_LIMITS = st.one_of(st.floats(-4.0, 4.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+# -- the expression printer ------------------------------------------------------
+
+
+def _prec(node: Expression) -> int:
+    if isinstance(node, BinOp):
+        return _PRECEDENCE[node.op]
+    if isinstance(node, Neg):
+        return _NEG_PRECEDENCE
+    return 9
+
+
+def to_string(node: Expression) -> str:
+    """Render a tree back to text; reparsing it within the nesting bound
+    yields an equal tree."""
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return "x"
+    if isinstance(node, Const):
+        return node.name
+    if isinstance(node, Call):
+        return f"{node.fn}({to_string(node.arg)})"
+    if isinstance(node, Neg):
+        inner = to_string(node.arg)
+        if _prec(node.arg) < _NEG_PRECEDENCE:
+            inner = f"({inner})"
+        return f"-{inner}"
+    if isinstance(node, BinOp):
+        p = _PRECEDENCE[node.op]
+        left, right = to_string(node.left), to_string(node.right)
+        if node.op == "^":
+            # right-associative: parenthesize any non-atomic base; the
+            # exponent is a unary, so a negation there stays bare (x^-y)
+            if _prec(node.left) <= p:
+                left = f"({left})"
+            if _prec(node.right) < _NEG_PRECEDENCE:
+                right = f"({right})"
+        else:
+            if _prec(node.left) < p:
+                left = f"({left})"
+            if _prec(node.right) <= p:
+                right = f"({right})"
+        return f"{left}{node.op}{right}"
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 def edge_text(tree: Expression) -> str:

@@ -1,0 +1,117 @@
+#!/usr/bin/env bash
+# End-to-end smoke checks of an installed msquad, one CLI process each.
+#
+# Usage: bash tests/smoke.sh
+#
+# MSQUAD is the command that runs msquad (default "msquad", the console
+# script; "python -m msquad.cli" works too) and PYTHON the interpreter that
+# runs the Python checks (default "python").  Both are split on spaces.  The
+# script works in a fresh temporary directory, so only the installed (or
+# PYTHONPATH) package imports, never a checkout in the current directory.
+# It stops at the first failing check with a non-zero exit.
+
+set -euo pipefail
+
+MSQUAD=${MSQUAD:-msquad}
+PYTHON=${PYTHON:-python}
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+
+step() { printf '\n== %s\n' "$*"; }
+msquad() { command $MSQUAD "$@"; }
+fail() { echo "FAIL: $*"; exit 1; }
+
+# usage_error CMD...: run msquad with a 20 s limit; it must exit 1 and print
+# one "msquad: error:" line on stderr, no traceback
+usage_error() {
+    local code=0
+    timeout 20 $MSQUAD "$@" 2> err.txt || code=$?
+    cat err.txt
+    test "$code" -eq 1 || fail "msquad $* exited $code, want 1"
+    test "$(wc -l < err.txt)" -eq 1 && grep -q '^msquad: error: ' err.txt \
+        || fail "msquad $* did not print exactly one 'msquad: error:' line"
+}
+
+step "Each subcommand exits 0"
+msquad integrate --f "exp(-x^2)" -a 0 -b 1 --reference --format json
+msquad bounds --f "exp(-x^2)" -a 0 -b 1 -k 4
+msquad kernel
+msquad converge --f "exp(-x^2)" -a 0 -b 1
+msquad compare --f "exp(-x^2)" -a 0 -b 1
+msquad compare --f "sin(40*x)*exp(-x)" -a 0 -b 10 --format json
+
+step "Reversed and zero-width limits print what the forward run prints"
+# converge negates its integrals on reversed limits, as integrate does; a
+# zero-width midpoint run prints the single-panel keys
+msquad converge --f x -a 1 -b 0 --n-list 2,4 --format csv > converge.csv
+$PYTHON -c "import csv; rows = list(csv.reader(open('converge.csv')))[1:3]; assert [r[1] for r in rows] == ['-0.5', '-0.5'], rows"
+msquad integrate --f x -a 0 -b 0 --rule midpoint --format json > zero.json
+$PYTHON -c "import json; p = json.load(open('zero.json')); assert p['n_pairs'] == 1 and 'h' not in p, p"
+
+step "Each derivative order compiles and bounds on its own"
+# a jet is compiled per derivative order asked for; f' stays finite where
+# the sixth Taylor coefficient of exp(4.4e51*x)^2 overflows
+msquad integrate --f "exp(4.4e51*x)^2" -a 0 -b 1e-60
+for k in 2 3 4 5 6; do
+    msquad bounds --f "cos(2.5*x)*exp(-1.2*x)+sqrt(1+0.7*x^2)" -a 0 -b 1 -k "$k"
+done
+
+step "Compiled jets return and raise what the reference jets do"
+# the tracer drops zero fsum terms and writes fsum((t,)) as t + 0.0, which
+# rests on this interpreter's math.fsum; an outcome is the coefficients' hex
+# (any NaN is "nan") or the error's class and message
+$PYTHON -c "
+import math
+from msquad.expressions import parse
+from msquad.jets import compile_jet, derivatives
+def outcome(fn, x):
+    try:
+        return [c.hex() for c in fn(x)]
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+bad = []
+for text in ('exp(-1.25*x^2)*sin(3.5*x)+1/(1+0.75*x^2)',
+             'cos(3.5*x)*exp(-1.25*x)+sqrt(1+0.75*x^2)',
+             'log(1+0.75*x^2)*cos(3.5*x)+x/(1+1.25*x^2)'):
+    tree = parse(text)
+    for k in range(1, 7):
+        jet = compile_jet(tree, k)
+        for x in (-0.0, 0.0, 0.37, -1.5, 1e160, math.inf, math.nan):
+            want = outcome(lambda x: derivatives(tree, x, k).coeffs, x)
+            if outcome(jet, x) != want:
+                bad.append((text, k, x, outcome(jet, x), want))
+assert not bad, bad
+"
+
+step "Output closed early ends quietly"
+# head exits after 300 bytes; msquad may then write into a closed pipe,
+# which ends with exit 1 (so the pipeline's status is not checked) and must
+# print no traceback
+msquad compare --f "sin(40*x)*exp(-x)" -a 0 -b 10 --format json 2> err.txt | head -c 300 || true
+echo
+if grep -q Traceback err.txt; then cat err.txt; fail "a closed stdout printed a traceback"; fi
+
+step "An underflowing grid spacing is a usage error, not a hang"
+# h = 1e-300/(2*1e30) is 0; each command must exit 1 at once
+usage_error integrate -n 1000000000000000000000000000000 --f "exp(x)" -a 0 -b 1e-300
+usage_error converge --n-list 2,1000000000000000000000000000000 --f "exp(x)" -a 0 -b 1e-300
+
+step "A subnormal grid spacing that misses the pair count is a usage error"
+# h = 1e-320/16 is subnormal, so length/(2h) is not the pair count
+usage_error bounds --f "exp(x)" -a 0 -b 1e-320 -k 2 -n 8
+usage_error bounds --f "0*x" -a 5e-324 -b 1e-320 -k 5 -n 1 --lower 1 --upper 3
+
+step "A huge kernel sample count is a usage error, not a hang"
+# the kernel rows are built before printing; past the limit the command
+# must exit 1 at once
+usage_error kernel --samples 100000000000
+
+step "A cold CLI import loads no dataclasses"
+$PYTHON -c "import sys, msquad.cli; sys.exit('dataclasses' in sys.modules)"
+
+step "The lazy package exports resolve"
+# import msquad loads no module; each name is imported on first use
+$PYTHON -c "import msquad; from msquad import *; print(len(msquad.__all__))"
+
+step "smoke ok"

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -340,6 +341,11 @@ def test_usage_errors_exit_one():
         ("bounds", "--f", "exp(x)", "-a", "0", "-b", "5e-324", "-k", "3",
          "--lower", "1", "--upper", "1.1"),
         ("bounds", "--f", "exp(x)", "-a", "0", "-b", "1e-300", "-k", "3", "-n", str(10**30)),
+        # a subnormal spacing that does not underflow, but from which
+        # length/(2h) misses the pair count
+        ("bounds", "--f", "exp(x)", "-a", "0", "-b", "1e-320", "-k", "2", "-n", "8"),
+        ("bounds", "--f", "0*x", "-a", "5e-324", "-b", "1e-320", "-k", "5", "-n", "1",
+         "--lower", "1", "--upper", "3"),
         # 2n past the float range: the spacing cannot be computed
         ("integrate", "--f", "exp(x)", "-a", "0", "-b", "1", "-n", str(10**400)),
         ("converge", "--f", "exp(x)", "-a", "0", "-b", "1", "--n-list", f"2,{10**400}"),
@@ -348,6 +354,7 @@ def test_usage_errors_exit_one():
          "tol-nan", "safety-nan", "safety-inf", "a-nan", "b-inf", "both-inf",
          "width-overflow", "reversed-width-overflow", "spacing-underflow",
          "spacing-underflow-k6", "spacing-underflow-user-range", "spacing-underflow-huge-n",
+         "subnormal-spacing", "subnormal-spacing-user-range",
          "pair-count-past-floats", "n-list-past-floats"],
 )
 def test_out_of_range_options_are_one_line_usage_errors(argv):
@@ -530,10 +537,24 @@ def _child_env() -> dict[str, str]:
     """Environment in which a child python imports the msquad under test."""
     import msquad
 
-    src = os.path.dirname(os.path.dirname(msquad.__file__))
+    src = os.path.abspath(os.path.dirname(os.path.dirname(msquad.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return env
+
+
+@pytest.mark.skipif(shutil.which("bash") is None or shutil.which("timeout") is None,
+                    reason="the smoke script needs bash and timeout")
+def test_smoke_script_passes():
+    # tests/smoke.sh is what the CI smoke job runs on an installed package;
+    # here it runs the msquad under test, one cold process per command
+    env = {**_child_env(), "MSQUAD": f"{sys.executable} -m msquad.cli",
+           "PYTHON": sys.executable}
+    proc = subprocess.run(
+        ["bash", str(Path(__file__).parent / "smoke.sh")],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout
 
 
 def test_console_script_entry_point():

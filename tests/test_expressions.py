@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import EDGE_ABSCISSAE, EDGE_TREES, VALUE_CORPUS, VALUE_GRID, outcome
+from helpers import EDGE_ABSCISSAE, EDGE_TREES, VALUE_CORPUS, VALUE_GRID, outcome, to_string
 from msquad.errors import EvaluationError, ParseError
 from msquad.expressions import (
     BinOp,
@@ -21,7 +21,6 @@ from msquad.expressions import (
     compile_pair_terms,
     evaluate,
     parse,
-    to_string,
 )
 from msquad.jets import compile_jet, derivatives
 

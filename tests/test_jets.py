@@ -22,9 +22,10 @@ from helpers import (
     outcome,
     richardson_derivative,
     symbolic_diff,
+    to_string,
 )
 from msquad.errors import DerivativeUnavailableError, EvaluationError
-from msquad.expressions import BinOp, Call, Neg, Tracer, evaluate, parse, to_string
+from msquad.expressions import BinOp, Call, Neg, Tracer, evaluate, parse
 from msquad.jets import ORDER, TaylorJet, compile_jet, derivatives, expression_integrand
 
 

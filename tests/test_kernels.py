@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     exact_branch_integral,
     exact_modified_simpson_error,
+    kernel,
     poly_eval,
     poly_integral,
     poly_nth_derivative,
@@ -15,7 +16,6 @@ from msquad.integrand import Integrand, Interval, UniformGrid
 from msquad.kernels import (
     _LEFT_F,
     KERNEL_ORDERS,
-    kernel,
     kernel_eval,
     scaled_constants,
 )
@@ -47,6 +47,47 @@ def test_eval_vanishes_exactly_at_one():
     for k in (3, 4, 5, 6):
         assert poly_eval(kernel(k).right_poly, F(1)) == 0
         assert kernel_eval(k, 1.0) == 0.0
+
+
+# The factored forms the branches were once typed in, kept as data: the
+# unsigned branch (-1)^k T_k is 1/k! times (x - r) over these roots, repeated
+# roots listed once per multiplicity, times a monic quadratic where given.
+# The 4/5 root of Q_3 is forced by the mirror symmetry Q_3(x) = -P_3(1 - x)
+# and by the zero-mean identity.
+FACTORED_BRANCHES = {
+    # k: ((left roots, left quadratic), (right roots, right quadratic))
+    2: (((), (F(1, 30), F(-7, 15), F(1))), ((), (F(17, 30), F(-23, 15), F(1)))),
+    3: (((F(0), F(1, 5), F(1, 2)), None), ((F(1), F(1, 2), F(4, 5)), None)),
+    4: (((F(0), F(0), F(1, 3), F(3, 5)), None), ((F(1), F(1), F(2, 3), F(2, 5)), None)),
+    5: (((F(0), F(0), F(0), F(1, 2), F(2, 3)), None),
+        ((F(1), F(1), F(1), F(1, 2), F(1, 3)), None)),
+    6: (((F(0),) * 4, (F(1, 2), F(-7, 5), F(1))), ((F(1),) * 4, (F(1, 10), F(-3, 5), F(1)))),
+}
+
+
+def _divide_root(poly: tuple[F, ...], r: F) -> tuple[tuple[F, ...], F]:
+    """Quotient and remainder of ``poly`` divided by ``x - r`` (synthetic division)."""
+    acc, quotient = F(0), []
+    for c in reversed(poly):
+        acc = acc * r + c
+        quotient.append(acc)
+    return tuple(reversed(quotient[:-1])), quotient[-1]
+
+
+@pytest.mark.parametrize("k", KERNEL_ORDERS)
+def test_derived_kernels_have_the_documented_factored_forms(k):
+    ker = kernel(k)
+    for side, poly, (roots, quadratic) in zip(("left", "right"),
+                                             (ker.left_poly, ker.right_poly),
+                                             FACTORED_BRANCHES[k]):
+        assert len(poly) == k + 1, (side, poly)
+        for r in dict.fromkeys(roots):
+            for _ in range(roots.count(r)):  # a root of the listed multiplicity ...
+                poly, rem = _divide_root(poly, r)
+                assert rem == 0, (side, r)
+            assert _divide_root(poly, r)[1] != 0, (side, r)  # ... and no higher
+        want = tuple(c / math.factorial(k) for c in quadratic or (F(1),))
+        assert poly == want, (side, poly)
 
 
 def test_float_coefficients_are_the_signed_exact_expansion():

@@ -7,23 +7,26 @@ PUBLIC_NAMES = [
     "BoundReport", "ConvergenceRow", "ConvergenceTable", "DerivativeRange",
     "DerivativeUnavailableError", "EvaluationError", "Expression", "Integrand",
     "Interval", "InvalidRangeError", "KernelConstants", "MsquadError", "ParseError",
-    "PeanoKernel", "QuadResult", "ReferenceConvergenceError", "ReferenceResult", "Rule",
+    "QuadResult", "ReferenceConvergenceError", "ReferenceResult", "Rule",
     "RuleComparison", "SecantSlope", "SlopeInconsistencyError", "TaylorJet",
     "UniformGrid", "compare_rules", "composite_bound_k6", "composite_bounds",
     "composite_modified_simpson", "composite_simpson", "convergence_study",
     "corrected_midpoint_panel", "derivatives", "estimate_derivative_range", "evaluate",
-    "expression_integrand", "kernel", "kernel_eval", "leading_error_estimate",
+    "expression_integrand", "kernel_eval", "leading_error_estimate",
     "midpoint_bounds", "midpoint_panel", "parse", "reference_integral",
-    "scaled_constants", "secant_slope", "simpson_classic_bound", "to_string",
+    "scaled_constants", "secant_slope", "simpson_classic_bound",
 ]
 
-# Entry points that nothing in the package called; each has a kept equivalent
-# (composite_bounds, composite_bound_k6, scaled_constants, and the one-pair
-# composite_simpson and composite_modified_simpson).
+# Entry points that nothing in the package called.  Most have a kept
+# equivalent (composite_bounds, composite_bound_k6, scaled_constants, and the
+# one-pair composite_simpson and composite_modified_simpson); the exact kernel
+# table and the printer only served tests, which now derive the kernels from
+# the rule and print trees themselves (tests/helpers.py).
 DELETED_NAMES = {
     "bounds": ("panel_bound_k6", "panel_bounds", "unit_bounds"),
-    "kernels": ("kernel_abs_integral", "kernel_eval_scaled", "kernel_max_abs",
-                "kernel_moment"),
+    "expressions": ("to_string",),
+    "kernels": ("PeanoKernel", "kernel", "kernel_abs_integral", "kernel_eval_scaled",
+                "kernel_max_abs", "kernel_moment"),
     "rules": ("modified_simpson_panel", "simpson_panel"),
 }
 
