@@ -243,12 +243,12 @@ def _operand(v) -> str:
     return f"({v})" if isinstance(v, _Expr) else _src(v)
 
 
-def _infix(op: str, fold: Callable | None = None):
+def _infix(op: str, fold: Callable):
     """``op`` of the tracer; ``fold`` computes it on constants (see :class:`Tracer`)."""
     def apply(self, a, b):
+        if folded := self.fold(fold, a, b):
+            return folded
         x, y = self.known(a), self.known(b)
-        if fold and x is not None and y is not None and (op != "/" or y != 0.0):
-            return self.const(fold(x, y))
         if op in "*/" and y == 1.0 or op == "-" and y == 0.0 and math.copysign(1.0, y) > 0:
             return a
         return b if op == "*" and x == 1.0 else _Expr(f"{_operand(a)} {op} {_operand(b)}")
@@ -264,7 +264,7 @@ _ARITHMETIC = re.compile(r"(?:[\w.]+(?![\w.(])|\*(?!\*)|[ ()+-])*")
 
 
 def _call(fn: str):
-    return lambda self, a: f"{fn}({_src(a)})"
+    return lambda self, a: self.fold(getattr(math, fn), a) or f"{fn}({_src(a)})"
 
 
 class Tracer:
@@ -281,10 +281,14 @@ class Tracer:
 
     Only identities true of every binary64 value (signed zeros, infinities,
     NaN) simplify, and what remains keeps its order.  ``neg``, ``+``, ``-``,
-    ``*`` and ``/`` (by non-zero) of finite constants happen now, as the same
-    operations, none of which raises.  ``1 * t``, ``t * 1``, ``t / 1`` and
-    ``t - 0.0`` are ``t`` for every ``t``, -0.0 too.  ``t + 0.0`` stays, as
-    ``-0.0 + 0.0`` is ``0.0``, and ``0.0 * t``, as it is NaN for ``t`` = inf.
+    ``*``, ``/``, ``**`` and the six calls of constants, infinite ones too,
+    happen now, as the same operations on the same floats.  One that raises
+    (``0.0 ** -1``, ``log(0)``, ``exp(1000)``, ``sin(inf)``) stays in the
+    lines, to raise at run time after the checks before it.  NaN is never a
+    constant: names are keyed on ``repr``, which hides a NaN's sign.  ``1 *
+    t``, ``t * 1``, ``t / 1`` and ``t - 0.0`` are ``t`` for every ``t``, -0.0
+    too.  ``t + 0.0`` stays, as ``-0.0 + 0.0`` is ``0.0``, and ``0.0 * t``,
+    as it is NaN for ``t`` = inf.
 
     When the lines become a function, a temporary used once whose definition
     only adds, subtracts, multiplies or negates is inlined at its use (see
@@ -297,8 +301,8 @@ class Tracer:
         self.checked: set[str] = set()
         self.named: dict[str, str] = {}  # repr of a constant -> its name
         self.constants: dict[str, float] = {}
-        self.scope: dict = {"EvaluationError": EvaluationError, "Binary64": Binary64,
-                            "fsum": math.fsum, **{fn: getattr(math, fn) for fn in FUNCTIONS}}
+        self.scope: dict = {"EvaluationError": EvaluationError, "fsum": math.fsum,
+                            **{fn: getattr(math, fn) for fn in FUNCTIONS}}
 
     def const(self, value: float) -> str:
         key = repr(value)
@@ -308,10 +312,19 @@ class Tracer:
         return self.named[key]
 
     def known(self, v):
-        """The value of ``v`` if it is a finite constant, else None: ``int()``
-        of any other exponent must fail at run time, not here."""
-        value = v if isinstance(v, (int, float)) else self.constants.get(v)
-        return value if value is not None and math.isfinite(value) else None
+        """The value of ``v`` if it is a constant, else None.  Every exponent
+        without ``x`` is one, unless it is NaN or raises at run time."""
+        return v if isinstance(v, (int, float)) else self.constants.get(v)
+
+    def fold(self, fn: Callable, *args):
+        """The constant ``fn(*args)`` if every argument is a constant and it
+        neither raises nor is NaN, else None."""
+        values = [self.known(a) for a in args]
+        try:
+            value = None if None in values else fn(*values)
+        except (ArithmeticError, ValueError):
+            value = None
+        return None if value is None or math.isnan(value) else self.const(value)
 
     def let(self, v):
         if not isinstance(v, str) or v.isidentifier():
@@ -326,7 +339,7 @@ class Tracer:
         return _Expr(f"-{_operand(a)}") if value is None else self.const(-value)
 
     add, sub, mul, div = (_infix(op, getattr(Binary64, name)) for op, name in _INFIX.items())
-    pow = _infix("**")
+    pow = _infix("**", Binary64.pow)
     exp, log, sin, cos, tan, sqrt = (_call(fn) for fn in FUNCTIONS)
 
     def fsum(self, terms):
@@ -339,17 +352,6 @@ class Tracer:
         if line not in self.checked:
             self.checked.add(line)
             self.lines.append(line)
-
-    def defer(self, walk, *args, size=None):
-        """Emit one run-time call of ``walk`` on ``Binary64``, for a decision
-        that needs values the trace does not know; ``size`` unpacks a tuple."""
-        self.scope[walk.__name__] = walk
-        call = f"{walk.__name__}(Binary64(x), {', '.join(map(_src, args))})"
-        if size is None:
-            return self.let(call)
-        names = tuple(f"t{len(self.lines)}_{j}" for j in range(size))
-        self.lines.append(f"{_src(names)} = {call}")
-        return names
 
     def _block(self, indent: int, last: str) -> str:
         """The lines, then ``last``, indented.  A temporary used once whose
@@ -443,7 +445,7 @@ def _value(A, node: Expression, x):
     if isinstance(node, BinOp):
         left, right = _value(A, node.left, x), _value(A, node.right, x)
         if node.op not in _INFIX:
-            return _power(A, left, right)
+            return _power(A, left, right, node.right)
         if node.op == "/":
             A.check(right, "==", _DIVISION_BY_ZERO)
         return A.let(getattr(A, _INFIX[node.op])(left, right))
@@ -457,10 +459,18 @@ def _value(A, node: Expression, x):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _exponent(A, base, e):
-    """The integer ``n`` of ``base ** n`` after its domain check, or None after
-    the non-integer one, when ``e`` is no such integer or None (it varies)."""
-    if e is not None and e == int(e) and abs(e) <= 2**31:
+def _varies(node: Expression) -> bool:
+    """Whether ``x`` occurs in ``node``."""
+    return isinstance(node, Var) or any(isinstance(kid, tuple) and _varies(kid) for kid in node)
+
+
+def _exponent(A, base, expo, node: Expression):
+    """The integer ``n`` of ``base ** expo`` after its domain check, or None
+    after the non-integer one.  Only an exponent tree ``node`` without ``x``
+    makes one, if its value is integral and at most 2**31 in magnitude (±inf
+    and NaN fail that test before ``int()``)."""
+    e = None if _varies(node) else A.known(expo)
+    if e is not None and abs(e) <= 2**31 and e == int(e):
         if e < 0:
             A.check(base, "==", "zero raised to a negative power")
         return int(e)
@@ -468,13 +478,10 @@ def _exponent(A, base, e):
     return None
 
 
-def _power(A, base, expo):
-    e = A.known(expo)
-    if e is None:
-        return A.defer(_power, base, expo)
-    n = _exponent(A, base, e)
+def _power(A, base, expo, node: Expression):
+    n = _exponent(A, base, expo, node)
     if n is None:
         return A.let(A.exp(A.mul(expo, A.log(base))))
-    # one product is correctly rounded, where pow may be off by an ulp; a
-    # longer chain of products rounds more often than pow does
-    return A.let(A.mul(base, base) if n == 2 else A.pow(base, n))
+    # b ** 0 is 1.0 for every float b, NaN too.  One product is correctly
+    # rounded where pow may be off by an ulp; a longer chain rounds more often
+    return A.const(1.0) if n == 0 else A.let(A.mul(base, base) if n == 2 else A.pow(base, n))

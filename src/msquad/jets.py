@@ -2,17 +2,17 @@
 
 A jet holds truncated Taylor coefficients ``c_j = f^(j)(x0) / j!`` for
 j = 0..k, k <= 6; its length is its order.  Coefficient j of every
-recurrence depends only on the input coefficients 0..j, so a jet cut off at
-order k carries the bits of the order-6 jet's first k + 1 coefficients
-(powers aside, see the comment above the recurrences).  The bounds
-machinery asks for one order at a time (the corrected rules order 1, the
-leading-error estimate order 5 and the bound families orders 2..6), and
-each is propagated no further than its own order.  Jet arithmetic exists
-only in the propagation pass: the walker and the recurrence of each
-operation are written once, against the scalar arithmetic of
-:mod:`msquad.expressions`.  On ``Binary64`` they are :func:`derivatives`,
-the reference, and on ``Tracer`` they write the straight-line function that
-:func:`compile_jet` returns.  A :class:`TaylorJet` is just a result.
+recurrence depends only on the input coefficients 0..j, and a power's path
+only on its tree, so a jet cut off at order k carries the bits of the
+order-6 jet's first k + 1 coefficients.  The bounds machinery asks for one
+order at a time (the corrected rules order 1, the leading-error estimate
+order 5 and the bound families orders 2..6), and each is propagated no
+further than its own order.  Jet arithmetic exists only in the
+propagation pass: the walker and the recurrence of each operation are
+written once, against the scalar arithmetic of :mod:`msquad.expressions`.
+On ``Binary64`` they are :func:`derivatives`, the reference, and on
+``Tracer`` they write the straight-line function that :func:`compile_jet`
+returns.  A :class:`TaylorJet` is just a result.
 
 Each sum of products is one ``_sum``: it drops the terms known to be zero
 (zero constants when traced, values equal to 0.0 on floats) and writes one
@@ -92,13 +92,9 @@ class TaylorJet:
 # order fails only where its own coefficients or lower ones raise (an
 # ``fsum`` raises on inf - inf, or on overflow).  Up to the order every
 # coefficient is computed, the cosine that sin does not return too, so
-# which inputs fail depends on all of them.  A power reads more: it takes
-# the integer path when its exponent's coefficients 1..k are zero, so where
-# the exponent's higher ones are not, the order-k jet may differ from the
-# order-6 jet's first k + 1 coefficients, or succeed where that one fails.
-# The sign of a NaN is not kept: CPython 3.11 takes it for a product of two
-# NaNs from either operand, depending on whether it has specialised that
-# multiplication yet.
+# which inputs fail depends on all of them.  The sign of a NaN is not kept:
+# CPython 3.11 takes it for a product of two NaNs from either operand,
+# depending on whether it has specialised that multiplication yet.
 
 
 def _constant(c, like):
@@ -186,11 +182,8 @@ def _int_pow(A, base, n: int):
     return result
 
 
-def _pow(A, base, expo):
-    e = [A.known(c) for c in expo]
-    if None in e:
-        return A.defer(_pow, base, expo, size=len(base))
-    n = _exponent(A, base[0], e[0] if all(c == 0.0 for c in e[1:]) else None)
+def _pow(A, base, expo, node: Expression):
+    n = _exponent(A, base[0], expo[0], node)
     if n is None:
         return _exp(A, _mul(A, expo, _log(A, base)))
     return _int_pow(A, base, n)
@@ -216,7 +209,7 @@ def _jet(A, node: Expression, x):
         if node.op == "/":
             A.check(b[0], "==", _DIVISION_BY_ZERO)
             return _div(A, a, b)
-        return _pow(A, a, b)
+        return _pow(A, a, b, node.right)
     if isinstance(node, Call) and node.fn in FUNCTIONS:
         a = _jet(A, node.arg, x)
         if node.fn == "exp":

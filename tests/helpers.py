@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from hypothesis import strategies as st
+from hypothesis import example, strategies as st
 
 from msquad.expressions import (
     _NEG_PRECEDENCE,
@@ -483,6 +483,22 @@ EDGE_ABSCISSAE = st.one_of(
     st.floats(allow_nan=False),
 )
 EDGE_LIMITS = st.one_of(st.floats(-4.0, 4.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+# Exponents without x that the tracer must fold to decide their power as the
+# floats do: a power of constants, calls of constants, infinite operands, and
+# a NaN that b ** 0 turns into 1.0; and a NaN's sign, which folding must keep.
+_FOLDS = ("(0^1)^(0^1)", "x^exp(0)", "x^sqrt(4)", "x^log(1)", "x^exp(-1e999)",
+          "x^(1/1e999+2)", "x^((1e999-1e999)^0)", "-(1e999+-1e999)")
+
+
+def fold_examples(test):
+    """``test(tree, xs)`` with each of those trees as an explicit example."""
+    from msquad.expressions import parse
+
+    for text in reversed(_FOLDS):
+        test = example(parse(text), [0.0, -0.0, -1.5, 2.0])(test)
+    return test
 
 
 # -- the expression printer ------------------------------------------------------

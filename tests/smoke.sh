@@ -22,16 +22,18 @@ step() { printf '\n== %s\n' "$*"; }
 msquad() { command $MSQUAD "$@"; }
 fail() { echo "FAIL: $*"; exit 1; }
 
-# usage_error CMD...: run msquad with a 20 s limit; it must exit 1 and print
-# one "msquad: error:" line on stderr, no traceback
-usage_error() {
-    local code=0
+# fails_with CODE CMD...: run msquad with a 20 s limit; it must exit CODE and
+# print one "msquad: error:" line on stderr, no traceback
+fails_with() {
+    local want=$1 code=0
+    shift
     timeout 20 $MSQUAD "$@" 2> err.txt || code=$?
     cat err.txt
-    test "$code" -eq 1 || fail "msquad $* exited $code, want 1"
+    test "$code" -eq "$want" || fail "msquad $* exited $code, want $want"
     test "$(wc -l < err.txt)" -eq 1 && grep -q '^msquad: error: ' err.txt \
         || fail "msquad $* did not print exactly one 'msquad: error:' line"
 }
+usage_error() { fails_with 1 "$@"; }
 
 step "Each subcommand exits 0"
 msquad integrate --f "exp(-x^2)" -a 0 -b 1 --reference --format json
@@ -83,6 +85,13 @@ for text in ('exp(-1.25*x^2)*sin(3.5*x)+1/(1+0.75*x^2)',
                 bad.append((text, k, x, outcome(jet, x), want))
 assert not bad, bad
 "
+
+step "Each power takes its path from its tree"
+# a constant exponent, calls in it too, is known when traced: x^exp(0) is x^1
+msquad integrate --f "x^exp(0)" -a -2 -b -1
+# an exponent with x in it takes exp(e*log(b)), even where it is an integer,
+# so a negative base is an evaluation error (exit 2) at the midpoint x = 2
+fails_with 2 integrate --f "(-2)^x" -a 1 -b 3 --rule midpoint
 
 step "Output closed early ends quietly"
 # head exits after 300 bytes; msquad may then write into a closed pipe,

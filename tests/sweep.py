@@ -1,0 +1,253 @@
+"""The byte contract as a sweep: the same seeded cases on two msquad trees.
+
+Usage:
+
+    python tests/sweep.py BASE HEAD [--count N] [--seed S] [--library] [--out FILE]
+
+BASE and HEAD are directories that hold the ``msquad`` package, such as a
+checkout's ``src``; a parent revision unpacks with ``git archive REV | tar
+-x -C DIR`` into ``DIR/src``.  Each tree runs every case in a child process
+of its own (this script with ``--child``):
+
+- by default a case is an argv over every subcommand and format, with
+  reversed, zero-width, signed-zero, subnormal, huge and non-finite limits,
+  powers of every kind and the usage errors of ``tests/smoke.sh``, run
+  through ``msquad.cli.run(argv, out, err)``;
+- with ``--library`` a case is a text of the test corpora, or a power, and
+  a point, at which the compiled value and the compiled jets of orders 0..6
+  run.
+
+It prints one summary line, for example
+
+    sweep: 1500 run, 1266 identical, differing: exit 120, stdout 114; tracebacks: base 0, head 0
+
+and writes each differing case with both outcomes to ``--out`` as JSON.  A
+CLI case differs by ``traceback`` (either side printed one), else by
+``exit`` (the codes differ), else by ``stdout``, ``stderr`` or both; a
+library case by ``value``, ``jet`` or both.  The library mode reads the
+corpora from ``tests/helpers.py``, which imports msquad from HEAD.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import math
+import os
+import random
+import subprocess
+import sys
+import traceback
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+
+# Powers of every kind: constant and varying exponents, integral at some
+# points, non-finite, with calls, and bases that reach zero or go negative.
+POWERS = (
+    "2^x", "x^x", "(-2)^x", "3^(2*x)", "(1+x^2)^x", "x^(x/x)", "x^(x-x)",
+    "x^(x-x-2)", "(x-2)^(2+(x-1)^3)", "x^1e999", "x^-1e999", "x^(1e999-1e999)",
+    "x^sin(1)", "x^exp(0)", "x^sqrt(4)", "x^log(1)", "x^(0^0)", "x^2.5", "x^0.5",
+    "x^2", "x^-2", "x^0", "x^3^2", "(x-1)^1.5", "x^2147483649", "0^x", "1^x",
+    "(0^1)^(0^1)", "e^x",
+)
+_TEXTS = POWERS + (
+    "exp(-x^2)", "sin(40*x)*exp(-x)", "1/(1+25*x^2)", "log(x)", "sqrt(x)", "1/x",
+    "tan(x)", "exp(4.4e51*x)^2", "0*x", "x", "x^", "foo(x)", "(x", "²",
+)
+_LIMITS = ("0", "-0.0", "1", "-1", "2", "3", "0.5", "-2", "1e-8", "10", "1e-300",
+           "5e-324", "1e-320", "1e300", "-1e300", "inf", "-inf", "nan", "1e4")
+_N = ("1", "2", "3", "8", "16", "0", "-1")
+_N_LISTS = ("2,4,8", "2,4", "4,2", "1", "x")
+# The usage errors of tests/smoke.sh.  A huge pair count is drawn only here,
+# where the spacing underflows: elsewhere it is a valid, endless run.
+_HUGE = "1000000000000000000000000000000"
+_USAGE_ERRORS = (
+    ["integrate", "-n", _HUGE, "--f", "exp(x)", "-a", "0", "-b", "1e-300"],
+    ["converge", "--n-list", f"2,{_HUGE}", "--f", "exp(x)", "-a", "0", "-b", "1e-300"],
+    ["bounds", "--f", "exp(x)", "-a", "0", "-b", "1e-320", "-k", "2", "-n", "8"],
+    ["bounds", "--f", "0*x", "-a", "5e-324", "-b", "1e-320", "-k", "5", "-n", "1",
+     "--lower", "1", "--upper", "3"],
+    ["kernel", "--samples", "100000000000"],
+)
+
+
+def _limits(rng: random.Random) -> list[str]:
+    """``-a`` and ``-b``: edge values, plain ones, and equal ones a tenth of the time."""
+    def limit(p_edge):
+        return rng.choice(_LIMITS) if rng.random() < p_edge else repr(round(rng.uniform(-4, 4), 3))
+
+    a = limit(0.6)
+    return ["-a", a, "-b", a if rng.random() < 0.1 else limit(0.33)]
+
+
+def cli_cases(count: int, seed: int) -> list[list[str]]:
+    """``count`` seeded argv, one subcommand each."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        command = rng.choice(("integrate", "integrate", "bounds", "bounds", "kernel",
+                              "converge", "compare"))
+        argv = [command, "--format", rng.choice(("table", "csv", "json"))]
+        if rng.random() < 0.03:
+            cases.append(rng.choice(_USAGE_ERRORS) + argv[1:])
+            continue
+        if command == "kernel":
+            if rng.random() < 0.5:
+                argv += ["-k", rng.choice("234567")]
+            cases.append(argv + ["--samples", rng.choice(("2", "11", "1"))])
+            continue
+        text = rng.choice(POWERS) if rng.random() < 0.6 else rng.choice(_TEXTS)
+        argv += ["--f", text, *_limits(rng)]
+        if rng.random() < 0.1:
+            argv += ["--df", rng.choice(("1", "2*x", "x^x", "log(x)"))]
+        if command == "integrate":
+            argv += ["--rule", rng.choice(("midpoint", "cmidpoint", "simpson", "msimpson")),
+                     "-n", rng.choice(_N)]
+            if rng.random() < 0.2:
+                argv += ["--reference", "--tol", rng.choice(("1e-12", "1e-6", "0"))]
+        elif command == "bounds":
+            argv += ["-k", rng.choice("234566"), "-n", rng.choice(_N),
+                     "--samples", rng.choice(("8", "33", "129", "3"))]
+            if rng.random() < 0.3:
+                argv += ["--lower", rng.choice(("-1", "0", "1")),
+                         "--upper", rng.choice(("1", "3", "0"))]
+            if rng.random() < 0.1:
+                argv += ["--safety", rng.choice(("0.5", "2"))]
+        else:
+            if command == "converge":
+                argv += ["--rule", rng.choice(("simpson", "msimpson"))]
+            argv += ["--n-list", rng.choice(_N_LISTS)]
+        cases.append(argv)
+    return cases
+
+
+def library_cases(count: int, seed: int) -> list[list]:
+    """``count`` seeded pairs of a text and a point."""
+    from helpers import JET_CORPUS, VALUE_CORPUS
+
+    rng = random.Random(seed)
+    texts = tuple(dict.fromkeys(VALUE_CORPUS + JET_CORPUS + POWERS))
+    points = (0.0, -0.0, 1.0, -1.0, 2.0, 3.0, 0.5, 1e-300, 1e300, math.inf, -math.inf, math.nan)
+    return [[rng.choice(texts), rng.choice(points) if rng.random() < 0.5
+             else rng.choice((float(rng.randint(-4, 4)), rng.uniform(-4.0, 4.0)))]
+            for _ in range(count)]
+
+
+# -- one tree, in its child -------------------------------------------------------
+
+
+def _run_cli(argv: list[str]) -> list:
+    from msquad.cli import run
+
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        code = run(argv, out, err)
+    except Exception:  # what main() would let escape
+        code = "uncaught"
+        err.write(traceback.format_exc())
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def _outcome(fn, x):
+    """The result's hex (any NaN as "nan"), or the error's class and message."""
+    try:
+        values = fn(x)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    values = values if isinstance(values, tuple) else (values,)
+    return ["nan" if math.isnan(v) else v.hex() for v in values]
+
+
+def _library_runner():
+    from msquad.expressions import compile_expression, parse
+    from msquad.jets import compile_jet
+
+    compiled = {}
+
+    def run_case(case):
+        text, x = case
+        if text not in compiled:
+            tree = parse(text)
+            compiled[text] = [compile_expression(tree), *(compile_jet(tree, k) for k in range(7))]
+        return [_outcome(fn, x) for fn in compiled[text]]
+
+    return run_case
+
+
+def _child(mode: str) -> None:
+    cases = json.load(sys.stdin)
+    run_case = _library_runner() if mode == "library" else _run_cli
+    json.dump([run_case(case) for case in cases], sys.stdout)
+
+
+# -- two trees, compared ----------------------------------------------------------
+
+
+def run_tree(src: str, cases: list, library: bool = False) -> list:
+    """The outcome of each case on the msquad package in ``src``."""
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child",
+                           "library" if library else "cli"],
+                          input=json.dumps(cases), capture_output=True, text=True,
+                          env=env, check=True, timeout=3600)
+    return json.loads(proc.stdout)
+
+
+def difference(base, head, library: bool = False) -> str | None:
+    """The class by which two outcomes of one case differ, or None."""
+    if base == head:
+        return None
+    if library:
+        return "+".join(kind for kind, a, b in (("value", base[:1], head[:1]),
+                                                ("jet", base[1:], head[1:])) if a != b)
+    if "Traceback" in base[2] + head[2]:
+        return "traceback"
+    if base[0] != head[0]:
+        return "exit"
+    return "+".join(kind for kind, j in (("stdout", 1), ("stderr", 2)) if base[j] != head[j])
+
+
+def tracebacks(outcomes: list) -> int:
+    return sum("Traceback" in json.dumps(o) for o in outcomes)
+
+
+def sweep(base: str, head: str, cases: list, library: bool = False):
+    """The summary line and the differing cases of ``cases`` on two trees."""
+    with ThreadPoolExecutor(2) as pool:
+        base_out, head_out = pool.map(lambda src: run_tree(src, cases, library), (base, head))
+    diffs = [{"case": case, "class": cls, "base": b, "head": h}
+             for case, b, h in zip(cases, base_out, head_out)
+             if (cls := difference(b, h, library))]
+    classes = Counter(d["class"] for d in diffs)
+    summary = (f"sweep: {len(cases)} run, {len(cases) - len(diffs)} identical, differing: "
+               + (", ".join(f"{c} {n}" for c, n in sorted(classes.items())) or "none")
+               + f"; tracebacks: base {tracebacks(base_out)}, head {tracebacks(head_out)}")
+    return summary, diffs
+
+
+def main() -> None:
+    if sys.argv[1:2] == ["--child"]:
+        return _child(sys.argv[2])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("base", help="directory holding the base tree's msquad package")
+    parser.add_argument("head", help="directory holding the head tree's msquad package")
+    parser.add_argument("--count", type=int, default=1500, help="cases to draw")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--library", action="store_true",
+                        help="compiled values and jets at points, not CLI argv")
+    parser.add_argument("--out", default="sweep_diff.json", help="JSON file of differing cases")
+    args = parser.parse_args()
+    if args.library:
+        sys.path.append(os.path.abspath(args.head))  # for tests/helpers.py
+        cases = library_cases(args.count, args.seed)
+    else:
+        cases = cli_cases(args.count, args.seed)
+    summary, diffs = sweep(args.base, args.head, cases, args.library)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(diffs, fh, indent=1)
+    print(summary)
+
+
+if __name__ == "__main__":
+    main()

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import msquad
 from msquad.cli import run
 
 
@@ -535,8 +536,6 @@ def test_bounds_payload_matches_shipped_schema():
 
 def _child_env() -> dict[str, str]:
     """Environment in which a child python imports the msquad under test."""
-    import msquad
-
     src = os.path.abspath(os.path.dirname(os.path.dirname(msquad.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
@@ -555,6 +554,17 @@ def test_smoke_script_passes():
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout
+
+
+def test_sweep_of_this_tree_against_itself_is_identical():
+    # tests/sweep.py draws argv over every subcommand and format; two child
+    # processes of one tree must print the same bytes, and neither a traceback
+    import sweep
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(msquad.__file__)))
+    summary, diffs = sweep.sweep(src, src, sweep.cli_cases(300, seed=0))
+    assert summary == "sweep: 300 run, 300 identical, differing: none; tracebacks: base 0, head 0"
+    assert diffs == []
 
 
 def test_console_script_entry_point():

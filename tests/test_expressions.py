@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import EDGE_ABSCISSAE, EDGE_TREES, VALUE_CORPUS, VALUE_GRID, outcome, to_string
+from helpers import (EDGE_ABSCISSAE, EDGE_TREES, VALUE_CORPUS, VALUE_GRID, fold_examples, outcome,
+                     to_string)
 from msquad.errors import EvaluationError, ParseError
 from msquad.expressions import (
     BinOp,
@@ -260,6 +261,7 @@ def test_tracer_shares_equal_constants_and_checks():
 
 @settings(max_examples=400)
 @given(EDGE_TREES, st.lists(EDGE_ABSCISSAE, min_size=1, max_size=6))
+@fold_examples
 def test_compiled_matches_walk_bitwise(tree, xs):
     fn = compile_expression(tree)  # compiling never raises: errors belong to points
     for x in xs:

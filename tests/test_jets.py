@@ -17,7 +17,10 @@ from helpers import (
     EDGE_TREES,
     JET_CORPUS,
     JET_GRID,
+    VALUE_CORPUS,
+    VALUE_GRID,
     compiled_digests,
+    fold_examples,
     mp_value,
     outcome,
     richardson_derivative,
@@ -25,7 +28,7 @@ from helpers import (
     to_string,
 )
 from msquad.errors import DerivativeUnavailableError, EvaluationError
-from msquad.expressions import BinOp, Call, Neg, Tracer, evaluate, parse
+from msquad.expressions import Tracer, compile_expression, compile_pair_terms, evaluate, parse
 from msquad.jets import ORDER, TaylorJet, compile_jet, derivatives, expression_integrand
 
 
@@ -301,12 +304,90 @@ def test_compiled_code_matches_golden_of_earlier_compilers():
         pytest.skip(f"golden digests were taken on {golden['platform']}; libm may round differently here")
     digests = compiled_digests()
     assert list(digests) == list(golden["digests"])
-    assert [t for t in digests if digests[t] != golden["digests"][t]] == []
+    changed = [(t, kind) for t in digests for kind in digests[t]
+               if digests[t][kind] != golden["digests"][t][kind]]
+    assert changed == _DECIDED_FROM_THE_TREE
+
+
+# The digests that changed when every power came to be decided from its tree.
+# An exponent with x in it, or an infinite one, now takes exp(e * log(b))
+# after the check b > 0.  The earlier compilers took the integer path where
+# the exponent's value (for a jet, its whole jet) was a constant integer, and
+# failed on an infinite exponent; the jets of 2^x and x^x never had a
+# constant exponent, so they keep their digests.  The six texts are checked
+# against independent expectations below instead.
+_DECIDED_FROM_THE_TREE = [
+    ("x^1e999", "value"), ("x^1e999", "jet"),
+    ("2^x", "value"), ("x^x", "value"),
+    ("x^-1e999", "value"), ("x^-1e999", "jet"),
+    ("x^(x-x)", "value"), ("x^(x-x)", "jet"),
+    ("x^(x-x-2)", "value"), ("x^(x-x-2)", "jet"),
+]
+
+# Their base b and exponent e at x, as Python computes them.
+_EXP_LOG_POWERS = {
+    "x^1e999": lambda x: (x, math.inf),
+    "x^-1e999": lambda x: (x, -math.inf),
+    "x^(x-x)": lambda x: (x, x - x),
+    "x^(x-x-2)": lambda x: (x, x - x - 2.0),
+    "2^x": lambda x: (2.0, x),
+    "x^x": lambda x: (x, x),
+}
+
+
+def _exp_log(text, x):
+    b, e = _EXP_LOG_POWERS[text](x)
+    if b <= 0.0:
+        raise EvaluationError(f"non-integer power of a non-positive base {b!r}", x)
+    try:
+        return math.exp(e * math.log(b))
+    except OverflowError:
+        raise EvaluationError("overflow during evaluation", x) from None
+
+
+@pytest.mark.parametrize("text", list(_EXP_LOG_POWERS))
+def test_powers_decided_from_the_tree_take_exp_log(text):
+    tree = parse(text)
+    fn, jet = compile_expression(tree), compile_jet(tree)
+    for x in VALUE_GRID:
+        assert outcome(fn, x) == outcome(lambda x: _exp_log(text, x), x), x
+    for x in JET_GRID:
+        b, e = _EXP_LOG_POWERS[text](x)
+        if b <= 0.0:
+            assert outcome(jet, x) == outcome(lambda x: _exp_log(text, x), x), x
+        elif math.isinf(e) and 0.0 < x < math.inf:
+            # no Taylor series: the value, and no finite coefficient above it
+            try:
+                got = jet(x)
+            except ValueError as exc:
+                assert str(exc).endswith(" in fsum"), x
+                continue
+            assert outcome(lambda x: got[0], x) == outcome(lambda x: _exp_log(text, x), x), x
+            assert not any(map(math.isfinite, got[1:])), (x, got)
+    for x in (0.25, 0.5, 1.0, 1.5, 2.0):
+        if math.isfinite(_EXP_LOG_POWERS[text](x)[1]):
+            with mpmath.workdps(50):
+                want = [float(c) for c in mpmath.taylor(lambda t: mp_value(tree, t),
+                                                         mpmath.mpf(x), ORDER)]
+            tol = 1e-12 * max(1.0, *map(abs, want))
+            assert all(abs(g - w) <= tol for g, w in zip(jet(x), want)), (x, want)
+
+
+def test_compiled_code_never_calls_a_walker():
+    # every decision is made when traced, so no compiled function needs the
+    # float arithmetic or a walker at run time
+    walkers = {"Binary64", "_power", "_pow"}
+    for text in VALUE_CORPUS + JET_CORPUS:
+        tree = parse(text)
+        for fn in (compile_expression(tree), compile_pair_terms(tree),
+                   *(compile_jet(tree, k) for k in range(ORDER + 1))):
+            assert not walkers & set(fn.__code__.co_varnames), text
 
 
 @settings(max_examples=300, deadline=None)
 @given(EDGE_TREES, st.lists(st.one_of(EDGE_ABSCISSAE, st.just(math.nan)),
                             min_size=1, max_size=4))
+@fold_examples
 def test_compiled_jet_matches_propagation_bitwise(tree, xs):
     for order in range(ORDER + 1):
         jet = compile_jet(tree, order)  # compiling never raises: errors belong to points
@@ -315,49 +396,29 @@ def test_compiled_jet_matches_propagation_bitwise(tree, xs):
             assert outcome(jet, x, any_nan=True) == want, order
 
 
-def _exponents(tree):
-    """The exponent subtree of every power in ``tree``."""
-    if isinstance(tree, BinOp):
-        yield from _exponents(tree.left)
-        yield from _exponents(tree.right)
-        if tree.op == "^":
-            yield tree.right
-    elif isinstance(tree, (Neg, Call)):
-        yield from _exponents(tree.arg)
-
-
 @settings(max_examples=300, deadline=None)
 @given(EDGE_TREES, st.lists(EDGE_ABSCISSAE, min_size=1, max_size=4))
 def test_truncated_jet_is_prefix_of_full_jet(tree, xs):
-    # Coefficient j of each recurrence reads input coefficients 0..j only.
-    # The one decision that reads more is a power's: its exponent counts as
-    # constant when the exponent's coefficients 1..k are zero, so where its
-    # higher ones are not, order k takes the integer path and order 6 does not.
+    # Coefficient j of each recurrence reads input coefficients 0..j only,
+    # and a power's path depends on its tree alone.
     for x in xs:
         try:
             full = derivatives(tree, x).coeffs
         except (EvaluationError, ArithmeticError, ValueError):
             continue
-        exponents = [derivatives(e, x).coeffs[1:] for e in _exponents(tree)]
         for k in range(ORDER + 1):
-            if any(not any(e[:k]) and any(e) for e in exponents):
-                continue
             got = outcome(lambda x: derivatives(tree, x, k).coeffs, x, any_nan=True)
             assert got == outcome(lambda x: full[:k + 1], x, any_nan=True), k
 
 
-def test_truncated_power_takes_integer_path_where_exponent_is_flat():
-    # (x+0.3)^(3+(x-1)^2) at 1: the exponent's slope is 0, its curvature not,
-    # so order 1 squares and multiplies, order 6 takes exp(3 log 1.3)
-    tree = parse("(x+0.3)^(3+(x-1)^2)")
-    assert derivatives(tree, 1.0, 1).value == 1.3 * (1.3 * 1.3) != 1.3**3
-    assert derivatives(tree, 1.0).value == math.exp(3.0 * math.log(1.3)) == 1.3**3
-    # a negative base passes to order 2, where the exponent looks constant,
-    # and is refused from order 3 on, where it does not
+def test_varying_exponent_needs_a_positive_base_at_every_order():
+    # the exponent 2 + (x-1)^3 is flat up to order 2 at 1, where it is the
+    # integer 2; it still varies, so the base -1 is refused at every order
     tree = parse("(x-2)^(2+(x-1)^3)")
-    assert derivatives(tree, 1.0, 2).coeffs == (1.0, -2.0, 1.0)
-    with pytest.raises(EvaluationError, match="non-integer power"):
-        derivatives(tree, 1.0, 3)
+    for order in range(ORDER + 1):
+        for jet in (lambda x: derivatives(tree, x, order), compile_jet(tree, order)):
+            with pytest.raises(EvaluationError, match="non-integer power of a non-positive base"):
+                jet(1.0)
 
 
 def test_expression_integrand_compiles_one_jet_per_order_asked(monkeypatch):
