@@ -25,7 +25,7 @@ from itertools import chain
 from typing import Iterator, Literal, NamedTuple
 
 from .errors import EvaluationError, InvalidRangeError, SlopeInconsistencyError
-from .integrand import Integrand, Interval, _make
+from .integrand import MAX_DERIVATIVE_ORDER, Integrand, Interval, _make
 from .kernels import scaled_constants
 from .rules import _finite
 
@@ -71,8 +71,9 @@ class DerivativeRange(_RangeFields):
         rng = super().__new__(cls, *fields, **named)
         # Orders 2..5 feed the kernel bounds and 6 the sup-norm bound, but
         # the sampling estimator is useful down to order 1.
-        if not 1 <= rng.k <= 6:
-            raise ValueError(f"derivative range order must be in 1..6, got {rng.k}")
+        if not 1 <= rng.k <= MAX_DERIVATIVE_ORDER:
+            raise ValueError(
+                f"derivative range order must be in 1..{MAX_DERIVATIVE_ORDER}, got {rng.k}")
         if math.isnan(rng.lower) or math.isnan(rng.upper):
             raise InvalidRangeError(f"range endpoint is NaN: [{rng.lower}, {rng.upper}]")
         if rng.lower > rng.upper:
@@ -264,8 +265,8 @@ def _golden_polish(
 
 def _check_sampling(k: int, n_samples: int, safety: float) -> None:
     """Raise ValueError unless :func:`estimate_derivative_range` takes these."""
-    if not 1 <= k <= 6:
-        raise ValueError(f"derivative order must be in 1..6, got {k}")
+    if not 1 <= k <= MAX_DERIVATIVE_ORDER:
+        raise ValueError(f"derivative order must be in 1..{MAX_DERIVATIVE_ORDER}, got {k}")
     if n_samples < 8:
         raise ValueError(f"need at least 8 samples, got {n_samples}")
     if not safety >= 1.0:  # a NaN factor fails here too

@@ -32,6 +32,8 @@ _EXIT_USAGE = 1
 _EXIT_EVAL = 2
 # ``bounds --samples``: a million order-k jets take seconds, 1e11 take days.
 _MAX_SAMPLES = 1_000_000
+# Pair counts of the composite rules: 1e7 pairs take seconds, 1e30 never end.
+_MAX_PAIRS = 10_000_000
 # ``kernel --samples``: every row is built before it prints, so 1e6 rows
 # already take seconds and most of a gigabyte, and 1e11 exhaust memory.
 _MAX_KERNEL_SAMPLES = 100_000
@@ -82,7 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="integrate with one of the four rules")
     p.add_argument("--rule", choices=[r.value for r in Rule],
                    default=Rule.MODIFIED_SIMPSON.value)
-    p.add_argument("-n", type=int, default=8, help="pair count (composite rules)")
+    p.add_argument("-n", type=int, default=8,
+                   help=f"pair count (composite rules, at most {_MAX_PAIRS})")
     p.add_argument("--reference", action="store_true",
                    help="also report the reference value and the true error")
     p.add_argument("--tol", type=float, default=1e-12,
@@ -109,16 +112,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=101,
                    help=f"sample count on [0, 1] (2 to {_MAX_KERNEL_SAMPLES})")
 
+    n_list_help = f"comma-separated pair counts, strictly increasing, at most {_MAX_PAIRS}"
     p = sub.add_parser("converge", parents=[expr, limits, fmt],
                        help="grid-refinement study for one composite rule")
     p.add_argument("--rule", choices=[r.value for r in COMPOSITE_RULES],
                    default=Rule.MODIFIED_SIMPSON.value)
-    p.add_argument("--n-list", default="2,4,8,16,32,64",
-                   help="comma-separated pair counts, strictly increasing")
+    p.add_argument("--n-list", default="2,4,8,16,32,64", help=n_list_help)
 
     p = sub.add_parser("compare", parents=[expr, limits, fmt],
                        help="Simpson vs corrected rule on identical grids")
-    p.add_argument("--n-list", default="2,4,8,16,32,64")
+    p.add_argument("--n-list", default="2,4,8,16,32,64", help=n_list_help)
 
     return parser
 
@@ -250,6 +253,8 @@ def _study_inputs(
     if iv is None:
         raise _UsageError(f"-a/-b: {study} needs a non-empty interval")
     _grid(iv, ns[-1])  # the finest grid
+    if ns[-1] > _MAX_PAIRS:  # checked last, so every other usage error keeps its line
+        raise _UsageError(f"--n-list: at most {_MAX_PAIRS} pairs, got {ns[-1]}")
     return f, iv, ns, sign
 
 
@@ -266,6 +271,8 @@ def _cmd_integrate(args: argparse.Namespace, out: TextIO) -> int:
     # are 0 there, and so is the msimpson estimate h^6/9450 [f^(5)(b) - f^(5)(a)].
     h = value = ref = 0.0
     estimate = 0.0 if rule is Rule.MODIFIED_SIMPSON else None
+    # a pair count past the limit runs nothing, and is refused after every other check
+    too_many = rule in COMPOSITE_RULES and args.n > _MAX_PAIRS
     if iv is not None:
         if rule is Rule.MIDPOINT:
             value = midpoint_panel(f, iv)
@@ -274,17 +281,20 @@ def _cmd_integrate(args: argparse.Namespace, out: TextIO) -> int:
         else:
             grid = _grid(iv, args.n)
             h = grid.h
-            result = COMPOSITE_RULES[rule](f, grid)
-            value, estimate = result.value, result.leading_error_estimate
+            if not too_many:
+                result = COMPOSITE_RULES[rule](f, grid)
+                value, estimate = result.value, result.leading_error_estimate
     if args.reference:  # the tolerance is checked on every interval
         from .reference import _check_tolerance, reference_integral
 
         try:
             _check_tolerance(args.tol)
-            if iv is not None:
+            if iv is not None and not too_many:
                 ref = reference_integral(f, iv, args.tol).value
         except ValueError as exc:  # the tolerance limit
             raise _UsageError(f"--tol: {exc}") from exc
+    if too_many:
+        raise _UsageError(f"-n: at most {_MAX_PAIRS} pairs, got {args.n}")
 
     payload: dict[str, object] = {
         "rule": rule.value,

@@ -298,7 +298,6 @@ class Tracer:
     def __init__(self) -> None:
         self.lines: list[str] = []
         self.bound: dict[str, str] = {}  # source text -> the local bound to it
-        self.checked: set[str] = set()
         self.named: dict[str, str] = {}  # repr of a constant -> its name
         self.constants: dict[str, float] = {}
         self.scope: dict = {"EvaluationError": EvaluationError, "fsum": math.fsum,
@@ -335,8 +334,7 @@ class Tracer:
         return self.bound[v]
 
     def neg(self, a):
-        value = self.known(a)
-        return _Expr(f"-{_operand(a)}") if value is None else self.const(-value)
+        return self.fold(operator.neg, a) or _Expr(f"-{_operand(a)}")
 
     add, sub, mul, div = (_infix(op, getattr(Binary64, name)) for op, name in _INFIX.items())
     pow = _infix("**", Binary64.pow)
@@ -349,8 +347,7 @@ class Tracer:
     def check(self, v, test: str, message: str) -> None:
         line = (f"if {_operand(v)} {test} 0.0: "
                 f"raise EvaluationError({message!r}.format({_src(v)}), x)")
-        if line not in self.checked:
-            self.checked.add(line)
+        if line not in self.lines:
             self.lines.append(line)
 
     def _block(self, indent: int, last: str) -> str:

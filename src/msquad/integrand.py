@@ -157,7 +157,14 @@ class Integrand:
     def max_order(self) -> int:
         return self._max_order
 
-    def _checked(self, raw: object, x: float, what: str) -> float:
+    def _checked(self, what: str, x: float, fn: Callable, *args) -> float:
+        """``fn(*args)`` as a finite float, else :class:`EvaluationError` at ``x``."""
+        try:
+            raw = fn(*args)
+        except EvaluationError:
+            raise
+        except (ArithmeticError, ValueError) as exc:
+            raise EvaluationError(str(exc), x) from exc
         try:
             value = float(raw)  # type: ignore[arg-type]
         except (TypeError, ValueError):
@@ -167,13 +174,7 @@ class Integrand:
         return value
 
     def __call__(self, x: float) -> float:
-        try:
-            raw = self._fn(x)
-        except EvaluationError:
-            raise
-        except (ArithmeticError, ValueError) as exc:
-            raise EvaluationError(str(exc), x) from exc
-        return self._checked(raw, x, "function value")
+        return self._checked("function value", x, self._fn, x)
 
     def derivative(self, order: int, x: float) -> float:
         if not isinstance(order, int) or isinstance(order, bool) or order < 0:
@@ -182,10 +183,4 @@ class Integrand:
             return self(x)
         if order > self._max_order or self._derivative_fn is None:
             raise DerivativeUnavailableError(order, self._max_order)
-        try:
-            raw = self._derivative_fn(order, x)
-        except EvaluationError:
-            raise
-        except (ArithmeticError, ValueError) as exc:
-            raise EvaluationError(str(exc), x) from exc
-        return self._checked(raw, x, f"derivative of order {order}")
+        return self._checked(f"derivative of order {order}", x, self._derivative_fn, order, x)

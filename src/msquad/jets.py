@@ -47,9 +47,8 @@ from .expressions import (
     compile_pair_terms,
     parse,
 )
-from .integrand import Integrand
+from .integrand import MAX_DERIVATIVE_ORDER as ORDER, Integrand
 
-ORDER = 6
 _FACTORIALS = tuple(math.factorial(j) for j in range(ORDER + 1))
 _OVERFLOW = "overflow during derivative propagation"
 _ZERO_SERIES = "jet division by a series with zero value"

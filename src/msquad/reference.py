@@ -197,12 +197,17 @@ def reference_integral(
         # error is never below its floor, so ``exact == floored`` only when
         # every error is its floor.  A fixed floor is the floor or 0.0, so
         # its units are the floor's or 0.
-        value, err, floor, fixed_floor = _kronrod_segment(f, iv.a, iv.b)
-        floored = _units(floor)
-        exact, fixed = _units(err), floored if fixed_floor else 0
-        heap = [(-err, 0, iv.a, iv.b, value, exact, floored, fixed)]
-        counter = 1
+        heap: list[tuple] = []
+        exact = floored = fixed = counter = 0
+        segments = ((iv.a, iv.b),)
         while True:
+            for a, b in segments:
+                v, err, floor, fixed_floor = _kronrod_segment(f, a, b)
+                fl = _units(floor)
+                e, fx = _units(err), fl if fixed_floor else 0
+                heapq.heappush(heap, (-err, counter, a, b, v, e, fl, fx))
+                exact, floored, fixed = exact + e, floored + fl, fixed + fx
+                counter += 1
             total_err = exact / _UNIT  # correctly rounded; OverflowError past the max
             # fixed <= exact cannot overflow, and rounded to nearest it is
             # above tol only if it is so exactly
@@ -218,13 +223,7 @@ def reference_integral(
             _, _, lo, hi, _, e, fl, fx = heapq.heappop(heap)
             exact, floored, fixed = exact - e, floored - fl, fixed - fx
             mid = lo + 0.5 * (hi - lo)
-            for a, b in ((lo, mid), (mid, hi)):
-                v, err, floor, fixed_floor = _kronrod_segment(f, a, b)
-                fl = _units(floor)
-                e, fx = _units(err), fl if fixed_floor else 0
-                heapq.heappush(heap, (-err, counter, a, b, v, e, fl, fx))
-                exact, floored, fixed = exact + e, floored + fl, fixed + fx
-                counter += 1
+            segments = ((lo, mid), (mid, hi))
         value = math.fsum(entry[4] for entry in heap)
     except (OverflowError, ValueError):  # an overflowing sum of values or errors
         value = math.nan

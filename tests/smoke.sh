@@ -116,6 +116,11 @@ step "A huge kernel sample count is a usage error, not a hang"
 # must exit 1 at once
 usage_error kernel --samples 100000000000
 
+step "A pair count past the limit is a usage error, not a hang"
+# 1e7 pairs take seconds; past that the composite commands exit 1 at once
+usage_error integrate --f "exp(x)" -a 0 -b 1 -n 10000001
+usage_error converge --f "exp(x)" -a 0 -b 1 --n-list 2,10000001
+
 step "A cold CLI import loads no dataclasses"
 $PYTHON -c "import sys, msquad.cli; sys.exit('dataclasses' in sys.modules)"
 

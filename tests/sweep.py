@@ -13,9 +13,12 @@ of its own (this script with ``--child``):
   reversed, zero-width, signed-zero, subnormal, huge and non-finite limits,
   powers of every kind and the usage errors of ``tests/smoke.sh``, run
   through ``msquad.cli.run(argv, out, err)``;
-- with ``--library`` a case is a text of the test corpora, or a power, and
-  a point, at which the compiled value and the compiled jets of orders 0..6
-  run.
+- with ``--library`` a case is a text of the test corpora, or a power, a
+  point, an interval drawn from the CLI limits, a pair count and a
+  tolerance.  At the point the compiled value and the compiled jets of
+  orders 0..6 run; on the interval both composite rules, the reference
+  oracle, and for k = 2..6 the sampled range of f^(k) and its bound report,
+  each on the expression integrand that the CLI builds.
 
 It prints one summary line, for example
 
@@ -24,7 +27,8 @@ It prints one summary line, for example
 and writes each differing case with both outcomes to ``--out`` as JSON.  A
 CLI case differs by ``traceback`` (either side printed one), else by
 ``exit`` (the codes differ), else by ``stdout``, ``stderr`` or both; a
-library case by ``value``, ``jet`` or both.  The library mode reads the
+library case by ``value``, ``jet``, ``rules``, ``reference``, ``bounds``
+or several of them, each compared bit for bit.  The library mode reads the
 corpora from ``tests/helpers.py``, which imports msquad from HEAD.
 """
 
@@ -123,15 +127,21 @@ def cli_cases(count: int, seed: int) -> list[list[str]]:
 
 
 def library_cases(count: int, seed: int) -> list[list]:
-    """``count`` seeded pairs of a text and a point."""
+    """``count`` seeded cases ``[text, x, a, b, n, tol]``; the limits come
+    from the CLI draw, in increasing order, so some make no interval."""
     from helpers import JET_CORPUS, VALUE_CORPUS
 
     rng = random.Random(seed)
     texts = tuple(dict.fromkeys(VALUE_CORPUS + JET_CORPUS + POWERS))
     points = (0.0, -0.0, 1.0, -1.0, 2.0, 3.0, 0.5, 1e-300, 1e300, math.inf, -math.inf, math.nan)
-    return [[rng.choice(texts), rng.choice(points) if rng.random() < 0.5
-             else rng.choice((float(rng.randint(-4, 4)), rng.uniform(-4.0, 4.0)))]
-            for _ in range(count)]
+    cases = []
+    for _ in range(count):
+        text = rng.choice(texts)
+        x = (rng.choice(points) if rng.random() < 0.5
+             else rng.choice((float(rng.randint(-4, 4)), rng.uniform(-4.0, 4.0))))
+        a, b = sorted(float(limit) for limit in _limits(rng)[1::2])
+        cases.append([text, x, a, b, int(rng.choice(_N[:5])), rng.choice((1e-6, 1e-10, 1e-13))])
+    return cases
 
 
 # -- one tree, in its child -------------------------------------------------------
@@ -149,28 +159,58 @@ def _run_cli(argv: list[str]) -> list:
     return [code, out.getvalue(), err.getvalue()]
 
 
-def _outcome(fn, x):
-    """The result's hex (any NaN as "nan"), or the error's class and message."""
+def _outcome(fn, *args):
+    """The result, or each field of a tuple of them, as text: a float in hex
+    (any NaN as "nan"), anything else its ``repr``; or the error's class and
+    message."""
     try:
-        values = fn(x)
+        values = fn(*args)
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
     values = values if isinstance(values, tuple) else (values,)
-    return ["nan" if math.isnan(v) else v.hex() for v in values]
+    return [("nan" if math.isnan(v) else v.hex()) if isinstance(v, float) else repr(v)
+            for v in values]
 
 
 def _library_runner():
+    from msquad.bounds import (
+        composite_bound_k6, composite_bounds, estimate_derivative_range, secant_slope,
+    )
     from msquad.expressions import compile_expression, parse
-    from msquad.jets import compile_jet
+    from msquad.integrand import Interval, UniformGrid
+    from msquad.jets import compile_jet, expression_integrand
+    from msquad.reference import reference_integral
+    from msquad.rules import composite_modified_simpson, composite_simpson
 
     compiled = {}
 
+    def bound(f, iv, k, n):
+        """The sampled range of f^(k) on ``iv`` and the bound report from it."""
+        h = UniformGrid(iv, n).h
+        rng = estimate_derivative_range(f, k, iv)
+        if k == 6:
+            return (*rng, composite_bound_k6(rng.sup_abs, h, iv.width))
+        return (*rng, *composite_bounds(k, rng, secant_slope(f, k - 1, iv), h, iv.width))
+
     def run_case(case):
-        text, x = case
+        text, x, a, b, n, tol = case
         if text not in compiled:
             tree = parse(text)
-            compiled[text] = [compile_expression(tree), *(compile_jet(tree, k) for k in range(7))]
-        return [_outcome(fn, x) for fn in compiled[text]]
+            compiled[text] = (expression_integrand(text), compile_expression(tree),
+                              *(compile_jet(tree, k) for k in range(7)))
+        f, value, *jets = compiled[text]
+
+        def on_interval(job, *args):
+            return _outcome(lambda: job(f, Interval(a, b), *args))
+
+        return {
+            "value": _outcome(value, x),
+            "jet": [_outcome(jet, x) for jet in jets],
+            "rules": [on_interval(lambda f, iv: rule(f, UniformGrid(iv, n)))
+                      for rule in (composite_simpson, composite_modified_simpson)],
+            "reference": on_interval(reference_integral, tol),
+            "bounds": [on_interval(bound, k, n) for k in range(2, 7)],
+        }
 
     return run_case
 
@@ -199,8 +239,7 @@ def difference(base, head, library: bool = False) -> str | None:
     if base == head:
         return None
     if library:
-        return "+".join(kind for kind, a, b in (("value", base[:1], head[:1]),
-                                                ("jet", base[1:], head[1:])) if a != b)
+        return "+".join(kind for kind in base if base[kind] != head[kind])
     if "Traceback" in base[2] + head[2]:
         return "traceback"
     if base[0] != head[0]:
@@ -235,7 +274,7 @@ def main() -> None:
     parser.add_argument("--count", type=int, default=1500, help="cases to draw")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--library", action="store_true",
-                        help="compiled values and jets at points, not CLI argv")
+                        help="library results on seeded points and intervals, not CLI argv")
     parser.add_argument("--out", default="sweep_diff.json", help="JSON file of differing cases")
     args = parser.parse_args()
     if args.library:

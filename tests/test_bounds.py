@@ -95,6 +95,11 @@ def test_unit_bounds_validation():
         unit_bounds(3, DerivativeRange(3, 0.0, 1.0), SecantSlope(1, 0.5))
 
 
+def test_composite_bounds_reject_a_range_of_another_order():
+    with pytest.raises(ValueError, match="^range is for order 3, bounds requested for order 4$"):
+        unit_bounds(4, DerivativeRange(3, 0.0, 1.0), SecantSlope(3, 0.5))
+
+
 def test_ulp_noise_on_tight_ranges_is_clamped():
     noisy = 1.0 + 2.0 * math.ulp(1.0)
     report = unit_bounds(4, DerivativeRange(4, 1.0, 1.0), SecantSlope(3, noisy))

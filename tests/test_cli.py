@@ -350,13 +350,17 @@ def test_usage_errors_exit_one():
         # 2n past the float range: the spacing cannot be computed
         ("integrate", "--f", "exp(x)", "-a", "0", "-b", "1", "-n", str(10**400)),
         ("converge", "--f", "exp(x)", "-a", "0", "-b", "1", "--n-list", f"2,{10**400}"),
+        ("converge", "--f", "exp(x)", "-a", "0", "-b", "1", "--n-list", "2,x"),
+        ("converge", "--f", "exp(x)", "-a", "0", "-b", "1", "--n-list", "0,2"),
+        ("kernel", "--samples", "1"),
     ],
     ids=["tol-zero", "samples-3", "safety-below-1", "lower-nan", "upper-inf",
          "tol-nan", "safety-nan", "safety-inf", "a-nan", "b-inf", "both-inf",
          "width-overflow", "reversed-width-overflow", "spacing-underflow",
          "spacing-underflow-k6", "spacing-underflow-user-range", "spacing-underflow-huge-n",
          "subnormal-spacing", "subnormal-spacing-user-range",
-         "pair-count-past-floats", "n-list-past-floats"],
+         "pair-count-past-floats", "n-list-past-floats", "n-list-not-integer",
+         "n-list-zero", "kernel-samples-1"],
 )
 def test_out_of_range_options_are_one_line_usage_errors(argv):
     code, out, err = invoke(*argv)
@@ -567,6 +571,23 @@ def test_sweep_of_this_tree_against_itself_is_identical():
     assert diffs == []
 
 
+def test_library_sweep_of_this_tree_against_itself_is_identical():
+    # tests/sweep.py --library: point values and jets, both composite rules,
+    # the oracle and the bound reports k = 2..6 on seeded points and intervals
+    import sweep
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(msquad.__file__)))
+    cases = sweep.library_cases(150, seed=0)
+    summary, diffs = sweep.sweep(src, src, cases, library=True)
+    assert summary == "sweep: 150 run, 150 identical, differing: none; tracebacks: base 0, head 0"
+    assert diffs == []
+    # the draw reaches results, not only errors (an error is one string)
+    outcomes = sweep.run_tree(src, cases[:40], library=True)
+    assert any(isinstance(o["reference"], list) for o in outcomes)
+    for kind in ("rules", "bounds"):
+        assert any(isinstance(r, list) for o in outcomes for r in o[kind]), kind
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "msquad.cli", "integrate", "--f", "x^2",
@@ -596,6 +617,28 @@ def test_bounds_samples_above_the_limit_is_a_usage_error():
     assert invoke("bounds", "--f", "x^3", "-a", "0", "-b", "1", "-k", "3",
                   "--samples", "100000000000") == (
         1, "", "msquad: error: --samples: at most 1000000, got 100000000000\n")
+
+
+def test_pair_counts_above_the_limit_are_refused_after_every_other_check():
+    # 1e7 pairs take seconds and 1e30 never end; the rule is never started
+    unit = ("--f", "exp(x)", "-a", "0", "-b", "1")
+    for a, b in (("0", "1"), ("3", "3")):  # zero width too
+        assert invoke("integrate", "--f", "exp(x)", "-a", a, "-b", b, "-n", "10000001") == (
+            1, "", "msquad: error: -n: at most 10000000 pairs, got 10000001\n")
+    for command in ("converge", "compare"):
+        assert invoke(command, *unit, "--n-list", "2,10000001") == (
+            1, "", "msquad: error: --n-list: at most 10000000 pairs, got 10000001\n")
+    # each earlier check keeps its line: the tolerance, an underflowing spacing
+    _, _, err = invoke("integrate", *unit, "-n", "10000001", "--reference", "--tol", "0")
+    assert err.startswith("msquad: error: --tol: ")
+    huge = str(10**30)
+    for argv in (("integrate", "-n", huge), ("converge", "--n-list", f"2,{huge}")):
+        _, _, err = invoke(*argv, "--f", "exp(x)", "-a", "0", "-b", "1e-300")
+        assert err == "msquad: error: -a/-b, -n: grid spacing (b - a)/(2n) underflows to 0\n"
+    # the limit itself runs; midpoint rules ignore -n, and bounds has no pair loop
+    assert invoke("integrate", "--f", "exp(x)", "-a", "3", "-b", "3", "-n", "10000000")[0] == 0
+    assert invoke("integrate", "--rule", "midpoint", *unit, "-n", huge)[0] == 0
+    assert invoke("bounds", *unit, "-k", "3", "-n", huge)[0] == 0
 
 
 def test_kernel_samples_above_the_limit_is_a_usage_error():

@@ -44,6 +44,20 @@ def test_grid_rejects_bad_pair_counts():
         UniformGrid(iv, True)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Integrand(math.exp, max_order=7), r"^max_order must be in 0\.\.6$"),
+        (lambda: Integrand.from_callables(math.exp, *[math.exp] * 7),
+         "^at most 6 derivative orders supported$"),
+    ],
+    ids=["integrand", "from-callables"],
+)
+def test_derivative_orders_stop_at_six(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_derivative_order_zero_is_the_function():
     f = Integrand.from_callables(math.exp, math.exp)
     assert f(0.3) == math.exp(0.3)

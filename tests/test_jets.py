@@ -3,6 +3,7 @@ import json
 import math
 import os
 import platform
+import re
 import sys
 
 import mpmath
@@ -28,7 +29,9 @@ from helpers import (
     to_string,
 )
 from msquad.errors import DerivativeUnavailableError, EvaluationError
-from msquad.expressions import Tracer, compile_expression, compile_pair_terms, evaluate, parse
+from msquad.expressions import (
+    Call, Tracer, Var, compile_expression, compile_pair_terms, evaluate, parse,
+)
 from msquad.jets import ORDER, TaylorJet, compile_jet, derivatives, expression_integrand
 
 
@@ -448,3 +451,10 @@ def test_lower_order_survives_overflow_in_higher_coefficient():
     assert f.derivative(1, 1e-60) == 2 * 4.4e51 * f(1e-60)
     with pytest.raises(EvaluationError, match="overflow during derivative propagation"):
         f.derivative(6, 1e-60)
+
+
+@pytest.mark.parametrize("node", ["x", Call("foo", Var())], ids=["text", "unknown-call"])
+@pytest.mark.parametrize("walk", [evaluate, derivatives], ids=["evaluate", "derivatives"])
+def test_walkers_reject_what_is_not_an_expression_node(walk, node):
+    with pytest.raises(TypeError, match=f"^not an expression node: {re.escape(repr(node))}$"):
+        walk(node, 0.5)
