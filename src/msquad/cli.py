@@ -266,35 +266,33 @@ def _cmd_integrate(args: argparse.Namespace, out: TextIO) -> int:
     rule = Rule(args.rule)
     _check_pair_count(args.n)
     iv, sign = _normalized_limits(args)
+    grid = _grid(iv, args.n) if rule in COMPOSITE_RULES and iv is not None else None
+    if args.reference:  # the tolerance is checked on every interval
+        from .reference import _check_tolerance, reference_integral
+
+        try:
+            _check_tolerance(args.tol)
+        except ValueError as exc:  # the tolerance limit
+            raise _UsageError(f"--tol: {exc}") from exc
+    # the pair limit is checked last, so every other usage error keeps its line
+    if rule in COMPOSITE_RULES and args.n > _MAX_PAIRS:
+        raise _UsageError(f"-n: at most {_MAX_PAIRS} pairs, got {args.n}")
 
     # A zero-width interval (iv is None) keeps these: h and every integral
     # are 0 there, and so is the msimpson estimate h^6/9450 [f^(5)(b) - f^(5)(a)].
     h = value = ref = 0.0
     estimate = 0.0 if rule is Rule.MODIFIED_SIMPSON else None
-    # a pair count past the limit runs nothing, and is refused after every other check
-    too_many = rule in COMPOSITE_RULES and args.n > _MAX_PAIRS
     if iv is not None:
         if rule is Rule.MIDPOINT:
             value = midpoint_panel(f, iv)
         elif rule is Rule.CORRECTED_MIDPOINT:
             value = corrected_midpoint_panel(f, iv)
         else:
-            grid = _grid(iv, args.n)
             h = grid.h
-            if not too_many:
-                result = COMPOSITE_RULES[rule](f, grid)
-                value, estimate = result.value, result.leading_error_estimate
-    if args.reference:  # the tolerance is checked on every interval
-        from .reference import _check_tolerance, reference_integral
-
-        try:
-            _check_tolerance(args.tol)
-            if iv is not None and not too_many:
-                ref = reference_integral(f, iv, args.tol).value
-        except ValueError as exc:  # the tolerance limit
-            raise _UsageError(f"--tol: {exc}") from exc
-    if too_many:
-        raise _UsageError(f"-n: at most {_MAX_PAIRS} pairs, got {args.n}")
+            result = COMPOSITE_RULES[rule](f, grid)
+            value, estimate = result.value, result.leading_error_estimate
+        if args.reference:
+            ref = reference_integral(f, iv, args.tol).value
 
     payload: dict[str, object] = {
         "rule": rule.value,
@@ -331,11 +329,10 @@ def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> int:
     iv, _ = _normalized_limits(args)
     k = args.k
 
-    # A zero-width interval (iv is None) keeps these: h, the range of f^(k),
-    # the secant and every bound are 0 there.
+    # A zero-width interval (iv is None) keeps these: h, the secant and every
+    # bound are 0 there, and so is a sampled range, as nothing is sampled.
     h = secant = bound = 0.0
-    rng = DerivativeRange(k=k, lower=0.0, upper=0.0, provenance="user-supplied")
-    report = BoundReport(k, 0.0, 0.0, 0.0, 0.0, 0.0, rigorous=True)
+    rng = DerivativeRange(k=k, lower=0.0, upper=0.0, provenance="sampled-estimate")
     if iv is not None:
         h = _grid(iv, args.n).h
     # the range options are checked on every interval, a zero-width one too
@@ -344,9 +341,8 @@ def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> int:
             raise _UsageError("--lower and --upper must be finite")
         if args.lower > args.upper:
             raise _UsageError("--lower must not exceed --upper")
-        if iv is not None:
-            rng = DerivativeRange(k=k, lower=args.lower, upper=args.upper,
-                                  provenance="user-supplied")
+        rng = DerivativeRange(k=k, lower=args.lower, upper=args.upper,
+                              provenance="user-supplied")
     else:
         if args.samples > _MAX_SAMPLES:
             raise _UsageError(f"--samples: at most {_MAX_SAMPLES}, got {args.samples}")
@@ -358,6 +354,7 @@ def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> int:
                 )
         except ValueError as exc:  # the --samples and --safety limits
             raise _UsageError(str(exc)) from exc
+    report = BoundReport(k, 0.0, 0.0, 0.0, 0.0, 0.0, rigorous=rng.rigorous)
     if iv is not None:
         if k == 6:
             bound = composite_bound_k6(rng.sup_abs, h, iv.width)

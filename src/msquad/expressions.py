@@ -16,13 +16,15 @@ Grammar (EBNF, also shipped in docs/grammar.ebnf):
 case-sensitive.  Parse errors carry the character offset of the offending
 token.  Only ASCII is accepted, nested at most 100 levels deep.
 
-A tree's value comes from one walker, written against a small scalar
-arithmetic that has two implementations.  On ``Binary64`` (floats) it is
+A tree is visited by one walker, ``_value``, written against a small
+arithmetic that has three implementations.  On ``Binary64`` (floats) it is
 :func:`evaluate`, the reference.  On ``Tracer`` (source text) it writes one
 straight-line function with the same binary64 operations in the same order
 and the same domain checks: :func:`compile_expression`, or the same lines
 inlined at every node of a composite pair loop: :func:`compile_pair_terms`.
-The Taylor jets of :mod:`msquad.jets` run on the same two arithmetics.
+On the Taylor arithmetic of :mod:`msquad.jets`, built over either of the
+two, a value is a jet of Taylor coefficients, its checks read coefficient 0
+and sqrt needs a positive argument, as its derivative is singular at 0.
 """
 
 from __future__ import annotations
@@ -202,8 +204,9 @@ def parse(text: str) -> Expression:
 # -- evaluation and compilation ----------------------------------------------
 
 _OVERFLOW = "overflow during evaluation"
-_DIVISION_BY_ZERO = "division by zero"  # the jets check these two as well
+_DIVISION_BY_ZERO = "division by zero"
 _LOG_DOMAIN = "log of non-positive value {!r}"
+_SQRT_DOMAIN = ("<", "sqrt of negative value {!r}")  # the test and message of sqrt's check
 _TESTS = {"==": operator.eq, "<=": operator.le, "<": operator.lt}
 _INFIX = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 
@@ -221,6 +224,7 @@ class Binary64:
     )
     fsum = math.fsum
     exp, log, sin, cos, tan, sqrt = (getattr(math, fn) for fn in FUNCTIONS)
+    sqrt_domain = _SQRT_DOMAIN
 
     def check(self, v: float, test: str, message: str) -> None:
         """Raise ``message``, its ``{!r}`` filled with ``v``, if ``v test 0.0``."""
@@ -233,7 +237,7 @@ class _Expr(str):
 
 
 def _src(v) -> str:
-    """Source of a value; numbers are the walkers' own literals."""
+    """Source of a value; numbers are the walker's own literals."""
     if isinstance(v, tuple):
         return f"({', '.join(map(_src, v))},)"
     return repr(v) if isinstance(v, (int, float)) else v
@@ -339,9 +343,10 @@ class Tracer:
     add, sub, mul, div = (_infix(op, getattr(Binary64, name)) for op, name in _INFIX.items())
     pow = _infix("**", Binary64.pow)
     exp, log, sin, cos, tan, sqrt = (_call(fn) for fn in FUNCTIONS)
+    sqrt_domain = _SQRT_DOMAIN
 
     def fsum(self, terms):
-        # math.fsum of nothing is 0.0; the walker writes one term t as t + 0.0
+        # math.fsum of nothing is 0.0; the jets write one term t as t + 0.0
         return f"fsum({_src(tuple(terms))})" if terms else 0.0
 
     def check(self, v, test: str, message: str) -> None:
@@ -451,7 +456,7 @@ def _value(A, node: Expression, x):
         if node.fn == "log":
             A.check(arg, "<=", _LOG_DOMAIN)
         elif node.fn == "sqrt":
-            A.check(arg, "<", "sqrt of negative value {!r}")
+            A.check(arg, *A.sqrt_domain)
         return A.let(getattr(A, node.fn)(arg))
     raise TypeError(f"not an expression node: {node!r}")
 

@@ -7,18 +7,20 @@ only on its tree, so a jet cut off at order k carries the bits of the
 order-6 jet's first k + 1 coefficients.  The bounds machinery asks for one
 order at a time (the corrected rules order 1, the leading-error estimate
 order 5 and the bound families orders 2..6), and each is propagated no
-further than its own order.  Jet arithmetic exists only in the
-propagation pass: the walker and the recurrence of each operation are
-written once, against the scalar arithmetic of :mod:`msquad.expressions`.
-On ``Binary64`` they are :func:`derivatives`, the reference, and on
-``Tracer`` they write the straight-line function that :func:`compile_jet`
+further than its own order.  There is no jet walker: a jet is a value of
+the Taylor arithmetic ``_Jets``, whose operations are the recurrences
+below, written once against a scalar arithmetic of
+:mod:`msquad.expressions`, and the one tree walker of that module runs on
+it.  Over ``Binary64`` that is :func:`derivatives`, the reference, and over
+``Tracer`` it writes the straight-line function that :func:`compile_jet`
 returns.  A :class:`TaylorJet` is just a result.
 
 Each sum of products is one ``_sum``: it drops the terms known to be zero
 (zero constants when traced, values equal to 0.0 on floats) and writes one
 term ``t`` as ``t + 0.0``.  On CPython 3.11 neither changes a bit: ``fsum``
 ignores zeros of either sign, and ``fsum((t,))`` is ``t + 0.0`` for every
-``t``.  The rule is the walker's, so both arithmetics agree on any Python.
+``t``.  The rule is the Taylor arithmetic's, so both scalar arithmetics
+agree on any Python.
 """
 
 from __future__ import annotations
@@ -28,21 +30,10 @@ from typing import Callable
 
 from .errors import EvaluationError
 from .expressions import (
-    _DIVISION_BY_ZERO,
-    _INFIX,
-    _LOG_DOMAIN,
-    CONSTANTS,
-    FUNCTIONS,
-    BinOp,
     Binary64,
-    Call,
-    Const,
     Expression,
-    Neg,
-    Num,
     Tracer,
-    Var,
-    _exponent,
+    _value,
     compile_expression,
     compile_pair_terms,
     parse,
@@ -56,7 +47,7 @@ _ZERO_SERIES = "jet division by a series with zero value"
 
 class TaylorJet:
     """The jet :func:`derivatives` returns; it is a result and does no
-    arithmetic (that is the walker's, in the recurrences below)."""
+    arithmetic (that is ``_Jets``', in the recurrences below)."""
 
     __slots__ = ("coeffs",)
 
@@ -80,7 +71,7 @@ class TaylorJet:
         return f"TaylorJet({self.coeffs!r})"
 
 
-# -- the recurrences --------------------------------------------------------
+# -- the arithmetic ----------------------------------------------------------
 #
 # A jet is a tuple of one to seven values of arithmetic ``A``, each
 # coefficient one ``let``; the operands of one operation have one length,
@@ -96,151 +87,139 @@ class TaylorJet:
 # depending on whether it has specialised that multiplication yet.
 
 
-def _constant(c, like):
-    """The jet of the constant ``c``, as long as the jet ``like``."""
-    return (c,) + (0.0,) * (len(like) - 1)
+class _Jets:
+    """The Taylor arithmetic over the scalar arithmetic ``A``: values are
+    jets of ``order``, and each operation is its recurrence.  The walker's
+    checks and its test for a known exponent read coefficient 0, and
+    ``let`` is the identity, as every coefficient is bound already."""
 
+    # the derivative is singular at 0 even though the value exists
+    sqrt_domain = ("<=", "sqrt not differentiable at non-positive value {!r}")
+    let = staticmethod(lambda v: v)
 
-def _sum(A, terms):
-    """``math.fsum`` of ``terms``, as the module docstring writes it."""
-    terms = [t for t in terms if A.known(t) != 0.0]
-    return A.add(terms[0], 0.0) if len(terms) == 1 else A.fsum(terms)
+    def __init__(self, A, order: int):
+        if not 0 <= order <= ORDER:
+            raise ValueError(f"jet order must be in 0..{ORDER}, got {order!r}")
+        self.A = A
+        self.zeros = (0.0,) * order
 
+    def variable(self, x):
+        """The jet of the variable at ``x``."""
+        return (x, 1.0, *self.zeros)[:len(self.zeros) + 1]
 
-def _mul(A, a, b):
-    return tuple(A.let(_sum(A, [A.mul(a[i], b[j - i]) for i in range(j + 1)]))
-                 for j in range(len(a)))
+    def const(self, c):
+        return (self.A.const(c), *self.zeros)
 
+    def known(self, v):
+        return self.A.known(v[0])
 
-def _div(A, a, b):
-    """The quotient, once the caller has checked ``b[0]``."""
-    q = [A.let(A.div(a[0], b[0]))]
-    for j in range(1, len(a)):
-        acc = A.sub(a[j], _sum(A, [A.mul(b[i], q[j - i]) for i in range(1, j + 1)]))
-        q.append(A.let(A.div(acc, b[0])))
-    return tuple(q)
+    def check(self, v, test: str, message: str) -> None:
+        self.A.check(v[0], test, message)
 
+    def neg(self, a):
+        return tuple(self.A.let(self.A.neg(c)) for c in a)
 
-def _scaled(A, a):
-    """``j * a[j]``, the left factor of every exp and sin/cos product."""
-    return [None] + [A.let(A.mul(j, a[j])) for j in range(1, len(a))]
+    def add(self, a, b):
+        return tuple(self.A.let(self.A.add(p, q)) for p, q in zip(a, b))
 
+    def sub(self, a, b):
+        return tuple(self.A.let(self.A.sub(p, q)) for p, q in zip(a, b))
 
-def _exp(A, a):
-    u = [A.let(A.exp(a[0]))]
-    d = _scaled(A, a)
-    for k in range(1, len(a)):
-        u.append(A.let(A.div(_sum(A, [A.mul(d[j], u[k - j]) for j in range(1, k + 1)]), k)))
-    return tuple(u)
+    def _sum(self, terms):
+        """``math.fsum`` of ``terms``, as the module docstring writes it."""
+        terms = [t for t in terms if self.A.known(t) != 0.0]
+        return self.A.add(terms[0], 0.0) if len(terms) == 1 else self.A.fsum(terms)
 
+    def mul(self, a, b):
+        A = self.A
+        return tuple(A.let(self._sum([A.mul(a[i], b[j - i]) for i in range(j + 1)]))
+                     for j in range(len(a)))
 
-def _log(A, a):
-    """The logarithm, once the caller has checked ``a[0] > 0``."""
-    u = [A.let(A.log(a[0]))]
-    for k in range(1, len(a)):
-        terms = [A.mul(A.mul(j / k, u[j]), a[k - j]) for j in range(1, k)]
-        u.append(A.let(A.div(A.sub(a[k], _sum(A, terms)), a[0])))
-    return tuple(u)
+    def div(self, a, b):
+        """The quotient, once the walker has checked ``b[0]``."""
+        A = self.A
+        q = [A.let(A.div(a[0], b[0]))]
+        for j in range(1, len(a)):
+            acc = A.sub(a[j], self._sum([A.mul(b[i], q[j - i]) for i in range(1, j + 1)]))
+            q.append(A.let(A.div(acc, b[0])))
+        return tuple(q)
 
+    def pow(self, base, n: int):
+        """Square and multiply, for the walker's ``n`` != 0; on the tracer
+        the loop unrolls itself."""
+        if n < 0:
+            p = self.pow(base, -n)
+            self.A.check(p[0], "==", _ZERO_SERIES)
+            return self.div((1.0, *self.zeros), p)
+        result, square = None, base
+        while n:
+            if n & 1:
+                result = square if result is None else self.mul(result, square)
+            n >>= 1
+            if n:
+                square = self.mul(square, square)
+        return result
 
-def _sin_cos(A, a):
-    s = [A.let(A.sin(a[0]))]
-    c = [A.let(A.cos(a[0]))]
-    d = _scaled(A, a)
-    for k in range(1, len(a)):
-        s.append(A.let(A.div(_sum(A, [A.mul(d[j], c[k - j]) for j in range(1, k + 1)]), k)))
-        c.append(A.let(A.div(A.neg(_sum(A, [A.mul(d[j], s[k - j]) for j in range(1, k + 1)])), k)))
-    return tuple(s), tuple(c)
+    def _scaled(self, a):
+        """``j * a[j]``, the left factor of every exp and sin/cos product."""
+        return [None] + [self.A.let(self.A.mul(j, a[j])) for j in range(1, len(a))]
 
+    def exp(self, a):
+        A = self.A
+        u = [A.let(A.exp(a[0]))]
+        d = self._scaled(a)
+        for k in range(1, len(a)):
+            u.append(A.let(A.div(self._sum([A.mul(d[j], u[k - j]) for j in range(1, k + 1)]), k)))
+        return tuple(u)
 
-def _sqrt(A, a):
-    """The square root, once the caller has checked ``a[0] > 0``."""
-    u = [A.let(A.sqrt(a[0]))]
-    twice = A.let(A.mul(2.0, u[0]))
-    for k in range(1, len(a)):
-        terms = [A.mul(u[j], u[k - j]) for j in range(1, k)]
-        u.append(A.let(A.div(A.sub(a[k], _sum(A, terms)), twice)))
-    return tuple(u)
+    def log(self, a):
+        """The logarithm, once the walker has checked ``a[0] > 0``."""
+        A = self.A
+        u = [A.let(A.log(a[0]))]
+        for k in range(1, len(a)):
+            terms = [A.mul(A.mul(j / k, u[j]), a[k - j]) for j in range(1, k)]
+            u.append(A.let(A.div(A.sub(a[k], self._sum(terms)), a[0])))
+        return tuple(u)
 
+    def _sin_cos(self, a):
+        A = self.A
+        s = [A.let(A.sin(a[0]))]
+        c = [A.let(A.cos(a[0]))]
+        d = self._scaled(a)
+        for k in range(1, len(a)):
+            s.append(A.let(A.div(self._sum([A.mul(d[j], c[k - j]) for j in range(1, k + 1)]), k)))
+            c.append(A.let(A.div(A.neg(self._sum([A.mul(d[j], s[k - j])
+                                                   for j in range(1, k + 1)])), k)))
+        return tuple(s), tuple(c)
 
-def _int_pow(A, base, n: int):
-    """Square and multiply; on the tracer the loop unrolls itself."""
-    if n == 0:
-        return _constant(1.0, base)
-    if n < 0:
-        p = _int_pow(A, base, -n)
-        A.check(p[0], "==", _ZERO_SERIES)
-        return _div(A, _constant(1.0, base), p)
-    result, square = None, base
-    while n:
-        if n & 1:
-            result = square if result is None else _mul(A, result, square)
-        n >>= 1
-        if n:
-            square = _mul(A, square, square)
-    return result
+    def sin(self, a):
+        return self._sin_cos(a)[0]
 
+    def cos(self, a):
+        return self._sin_cos(a)[1]
 
-def _pow(A, base, expo, node: Expression):
-    n = _exponent(A, base[0], expo[0], node)
-    if n is None:
-        return _exp(A, _mul(A, expo, _log(A, base)))
-    return _int_pow(A, base, n)
+    def tan(self, a):
+        s, c = self._sin_cos(a)
+        self.A.check(c[0], "==", "tan at a pole")
+        return self.div(s, c)
 
-
-def _jet(A, node: Expression, x):
-    """The jet of ``node`` in arithmetic ``A``, where ``x`` is the variable's."""
-    if isinstance(node, Num):
-        return _constant(A.const(float(node.value)), x)
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Const):
-        return _constant(A.const(CONSTANTS[node.name]), x)
-    if isinstance(node, Neg):
-        return tuple(A.let(A.neg(c)) for c in _jet(A, node.arg, x))
-    if isinstance(node, BinOp):
-        a, b = _jet(A, node.left, x), _jet(A, node.right, x)
-        if node.op in "+-":
-            op = getattr(A, _INFIX[node.op])
-            return tuple(A.let(op(p, q)) for p, q in zip(a, b))
-        if node.op == "*":
-            return _mul(A, a, b)
-        if node.op == "/":
-            A.check(b[0], "==", _DIVISION_BY_ZERO)
-            return _div(A, a, b)
-        return _pow(A, a, b, node.right)
-    if isinstance(node, Call) and node.fn in FUNCTIONS:
-        a = _jet(A, node.arg, x)
-        if node.fn == "exp":
-            return _exp(A, a)
-        if node.fn == "log":
-            A.check(a[0], "<=", _LOG_DOMAIN)
-            return _log(A, a)
-        if node.fn == "sqrt":
-            # the derivative is singular at 0 even though the value exists
-            A.check(a[0], "<=", "sqrt not differentiable at non-positive value {!r}")
-            return _sqrt(A, a)
-        s, c = _sin_cos(A, a)
-        if node.fn == "sin":
-            return s
-        if node.fn == "cos":
-            return c
-        A.check(c[0], "==", "tan at a pole")
-        return _div(A, s, c)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _variable(x, order: int):
-    """The jet of the variable at ``x``, cut off at ``order``."""
-    if not 0 <= order <= ORDER:
-        raise ValueError(f"jet order must be in 0..{ORDER}, got {order!r}")
-    return (x, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)[:order + 1]
+    def sqrt(self, a):
+        """The square root, once the walker has checked ``a[0] > 0``."""
+        A = self.A
+        u = [A.let(A.sqrt(a[0]))]
+        twice = A.let(A.mul(2.0, u[0]))
+        for k in range(1, len(a)):
+            terms = [A.mul(u[j], u[k - j]) for j in range(1, k)]
+            u.append(A.let(A.div(A.sub(a[k], self._sum(terms)), twice)))
+        return tuple(u)
 
 
 def derivatives(expr: Expression, x0: float, order: int = ORDER) -> TaylorJet:
     """Propagate the order-``order`` jet of ``expr`` through the tree at ``x0``."""
     try:
-        return TaylorJet(_jet(Binary64(x0), expr, _variable(float(x0), order)))
+        x = float(x0)
+        A = _Jets(Binary64(x0), order)
+        return TaylorJet(_value(A, expr, A.variable(x)))
     except OverflowError:
         raise EvaluationError(_OVERFLOW, x0) from None
 
@@ -251,8 +230,9 @@ def compile_jet(expr: Expression, order: int = ORDER) -> Callable[[float], tuple
     :func:`derivatives` does.  Compiling never raises: an error belongs to
     the point."""
     tracer = Tracer()
-    x = _variable(tracer.let("float(x)"), order)
-    return tracer.function(_jet(tracer, expr, x), _OVERFLOW, "<msquad jet>")
+    A = _Jets(tracer, order)
+    return tracer.function(_value(A, expr, A.variable(tracer.let("float(x)"))),
+                           _OVERFLOW, "<msquad jet>")
 
 
 def expression_integrand(text: str, df_text: str | None = None) -> Integrand:

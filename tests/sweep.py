@@ -2,7 +2,7 @@
 
 Usage:
 
-    python tests/sweep.py BASE HEAD [--count N] [--seed S] [--library] [--out FILE]
+    python tests/sweep.py BASE HEAD [--count N] [--seed S] [--library | --source] [--out FILE]
 
 BASE and HEAD are directories that hold the ``msquad`` package, such as a
 checkout's ``src``; a parent revision unpacks with ``git archive REV | tar
@@ -18,7 +18,11 @@ of its own (this script with ``--child``):
   tolerance.  At the point the compiled value and the compiled jets of
   orders 0..6 run; on the interval both composite rules, the reference
   oracle, and for k = 2..6 the sampled range of f^(k) and its bound report,
-  each on the expression integrand that the CLI builds.
+  each on the expression integrand that the CLI builds;
+- with ``--source`` a case is a text of the test corpora, a bench family
+  or a power, each once (``--count`` and ``--seed`` do not apply), and its
+  outcome is the source of every function that ``Tracer._define`` makes
+  for it: the value, the pair loop and the jets of orders 0..6.
 
 It prints one summary line, for example
 
@@ -28,8 +32,9 @@ and writes each differing case with both outcomes to ``--out`` as JSON.  A
 CLI case differs by ``traceback`` (either side printed one), else by
 ``exit`` (the codes differ), else by ``stdout``, ``stderr`` or both; a
 library case by ``value``, ``jet``, ``rules``, ``reference``, ``bounds``
-or several of them, each compared bit for bit.  The library mode reads the
-corpora from ``tests/helpers.py``, which imports msquad from HEAD.
+or several of them, each compared bit for bit; a source case by ``value``,
+``pairs``, ``jet`` or several of them.  The library and source modes read
+the corpora from ``tests/helpers.py``, which imports msquad from HEAD.
 """
 
 from __future__ import annotations
@@ -144,6 +149,13 @@ def library_cases(count: int, seed: int) -> list[list]:
     return cases
 
 
+def source_cases() -> list[str]:
+    """Each text of the test corpora, the bench families and the powers, once."""
+    from helpers import BENCH_FAMILIES, JET_CORPUS, VALUE_CORPUS
+
+    return list(dict.fromkeys(VALUE_CORPUS + JET_CORPUS + BENCH_FAMILIES + POWERS))
+
+
 # -- one tree, in its child -------------------------------------------------------
 
 
@@ -215,27 +227,55 @@ def _library_runner():
     return run_case
 
 
+def _source_runner():
+    from msquad.expressions import Tracer, compile_expression, compile_pair_terms, parse
+    from msquad.jets import compile_jet
+
+    bodies = []
+    define = Tracer._define
+
+    def record(self, params, body, filename):
+        bodies.append(body)
+        return define(self, params, body, filename)
+
+    Tracer._define = record
+
+    def run_case(text):
+        tree = parse(text)
+        bodies.clear()
+        compile_expression(tree)
+        compile_pair_terms(tree)
+        for k in range(7):
+            compile_jet(tree, k)
+        value, pairs, *jets = bodies
+        return {"value": value, "pairs": pairs, "jet": jets}
+
+    return run_case
+
+
 def _child(mode: str) -> None:
     cases = json.load(sys.stdin)
-    run_case = _library_runner() if mode == "library" else _run_cli
+    run_case = (_library_runner() if mode == "library" else _source_runner() if mode == "source"
+                else _run_cli)
     json.dump([run_case(case) for case in cases], sys.stdout)
 
 
 # -- two trees, compared ----------------------------------------------------------
 
 
-def run_tree(src: str, cases: list, library: bool = False) -> list:
+def run_tree(src: str, cases: list, library: bool = False, source: bool = False) -> list:
     """The outcome of each case on the msquad package in ``src``."""
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
-    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child",
-                           "library" if library else "cli"],
+    mode = "source" if source else "library" if library else "cli"
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", mode],
                           input=json.dumps(cases), capture_output=True, text=True,
                           env=env, check=True, timeout=3600)
     return json.loads(proc.stdout)
 
 
 def difference(base, head, library: bool = False) -> str | None:
-    """The class by which two outcomes of one case differ, or None."""
+    """The class by which two outcomes of one case differ, or None; a
+    library or source outcome is a dict of kinds."""
     if base == head:
         return None
     if library:
@@ -251,13 +291,14 @@ def tracebacks(outcomes: list) -> int:
     return sum("Traceback" in json.dumps(o) for o in outcomes)
 
 
-def sweep(base: str, head: str, cases: list, library: bool = False):
+def sweep(base: str, head: str, cases: list, library: bool = False, source: bool = False):
     """The summary line and the differing cases of ``cases`` on two trees."""
     with ThreadPoolExecutor(2) as pool:
-        base_out, head_out = pool.map(lambda src: run_tree(src, cases, library), (base, head))
+        base_out, head_out = pool.map(lambda src: run_tree(src, cases, library, source),
+                                      (base, head))
     diffs = [{"case": case, "class": cls, "base": b, "head": h}
              for case, b, h in zip(cases, base_out, head_out)
-             if (cls := difference(b, h, library))]
+             if (cls := difference(b, h, library or source))]
     classes = Counter(d["class"] for d in diffs)
     summary = (f"sweep: {len(cases)} run, {len(cases) - len(diffs)} identical, differing: "
                + (", ".join(f"{c} {n}" for c, n in sorted(classes.items())) or "none")
@@ -273,16 +314,22 @@ def main() -> None:
     parser.add_argument("head", help="directory holding the head tree's msquad package")
     parser.add_argument("--count", type=int, default=1500, help="cases to draw")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--library", action="store_true",
-                        help="library results on seeded points and intervals, not CLI argv")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--library", action="store_true",
+                      help="library results on seeded points and intervals, not CLI argv")
+    mode.add_argument("--source", action="store_true",
+                      help="the compiled source of every corpus text, not CLI argv")
     parser.add_argument("--out", default="sweep_diff.json", help="JSON file of differing cases")
     args = parser.parse_args()
-    if args.library:
+    if args.library or args.source:
         sys.path.append(os.path.abspath(args.head))  # for tests/helpers.py
+    if args.source:
+        cases = source_cases()
+    elif args.library:
         cases = library_cases(args.count, args.seed)
     else:
         cases = cli_cases(args.count, args.seed)
-    summary, diffs = sweep(args.base, args.head, cases, args.library)
+    summary, diffs = sweep(args.base, args.head, cases, args.library, args.source)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(diffs, fh, indent=1)
     print(summary)

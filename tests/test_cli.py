@@ -115,20 +115,28 @@ def test_zero_width_integrate_prints_the_keys_of_any_interval(rule, fmt, referen
 
 @pytest.mark.parametrize("k", ["2", "3", "4", "5", "6"])
 def test_zero_width_bounds_prints_the_keys_of_any_interval(k):
-    def record(b):
+    def record(b, *supplied):
         code, out, err = invoke("bounds", "--f", "exp(x)", "-a", "0", "-b", b, "-k", k,
-                                "--format", "csv")
+                                *supplied, "--format", "csv")
         assert (code, err) == (0, "")
         return out.splitlines()
 
     zero, unit = record("0"), record("1")
     assert zero[0] == unit[0]
     values = dict(zip(zero[0].split(","), zero[1].split(",")))
-    assert values.pop("range_provenance") == "user-supplied"
-    assert values.pop("rigorous") == "True"
+    # nothing is sampled on no width, so the range is 0.0 and not rigorous
+    assert values.pop("range_provenance") == "sampled-estimate"
+    assert values.pop("rigorous") == "False"
     assert (values.pop("k"), values.pop("a"), values.pop("b"), values.pop("n_pairs")) == (
         k, "0.0", "0.0", "8")
     assert set(values.values()) == {"0.0"}
+    # a supplied range is echoed on every interval, its sup norm too at k = 6
+    zero = record("0", "--lower", "-2", "--upper", "5")
+    values = dict(zip(zero[0].split(","), zero[1].split(",")))
+    assert [values[key] for key in ("range_lower", "range_upper", "range_provenance",
+                                    "rigorous")] == ["-2.0", "5.0", "user-supplied", "True"]
+    if k == "6":
+        assert values["sup_f6"] == "5.0"
 
 
 @pytest.mark.parametrize("argv", [
@@ -353,6 +361,10 @@ def test_usage_errors_exit_one():
         ("converge", "--f", "exp(x)", "-a", "0", "-b", "1", "--n-list", "2,x"),
         ("converge", "--f", "exp(x)", "-a", "0", "-b", "1", "--n-list", "0,2"),
         ("kernel", "--samples", "1"),
+        # the tolerance is checked before the rule meets log(0) or log(-1)
+        *(("integrate", "--rule", rule, "--f", "log(x)", "-a", "-1", "-b", "1",
+           "--reference", "--tol", "0") for rule in ("midpoint", "cmidpoint", "simpson",
+                                                      "msimpson")),
     ],
     ids=["tol-zero", "samples-3", "safety-below-1", "lower-nan", "upper-inf",
          "tol-nan", "safety-nan", "safety-inf", "a-nan", "b-inf", "both-inf",
@@ -360,7 +372,8 @@ def test_usage_errors_exit_one():
          "spacing-underflow-k6", "spacing-underflow-user-range", "spacing-underflow-huge-n",
          "subnormal-spacing", "subnormal-spacing-user-range",
          "pair-count-past-floats", "n-list-past-floats", "n-list-not-integer",
-         "n-list-zero", "kernel-samples-1"],
+         "n-list-zero", "kernel-samples-1", "tol-zero-log-midpoint", "tol-zero-log-cmidpoint",
+         "tol-zero-log-simpson", "tol-zero-log-msimpson"],
 )
 def test_out_of_range_options_are_one_line_usage_errors(argv):
     code, out, err = invoke(*argv)
@@ -368,6 +381,8 @@ def test_out_of_range_options_are_one_line_usage_errors(argv):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("msquad: error: ")
+    if "--tol" in argv:
+        assert lines[0].startswith("msquad: error: --tol: ")
 
 
 @pytest.mark.parametrize(
@@ -586,6 +601,23 @@ def test_library_sweep_of_this_tree_against_itself_is_identical():
     assert any(isinstance(o["reference"], list) for o in outcomes)
     for kind in ("rules", "bounds"):
         assert any(isinstance(r, list) for o in outcomes for r in o[kind]), kind
+
+
+def test_source_sweep_of_this_tree_against_itself_is_identical():
+    # tests/sweep.py --source: the traced source of the value, the pair loop
+    # and the jets 0..6 of every corpus text, bench family and power
+    import sweep
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(msquad.__file__)))
+    cases = sweep.source_cases()
+    summary, diffs = sweep.sweep(src, src, cases, source=True)
+    assert summary == (f"sweep: {len(cases)} run, {len(cases)} identical, differing: none; "
+                       "tracebacks: base 0, head 0")
+    assert diffs == []
+    # each case captures nine bodies, not one error
+    [outcome] = sweep.run_tree(src, ["exp(x)"], source=True)
+    assert "exp(x)" in outcome["value"] and "yield" in outcome["pairs"]
+    assert len(outcome["jet"]) == 7
 
 
 def test_console_script_entry_point():
