@@ -21,7 +21,8 @@ arithmetic that has three implementations.  On ``Binary64`` (floats) it is
 :func:`evaluate`, the reference.  On ``Tracer`` (source text) it writes one
 straight-line function with the same binary64 operations in the same order
 and the same domain checks: :func:`compile_expression`, or the same lines
-inlined at every node of a composite pair loop: :func:`compile_pair_terms`.
+less the checks inlined at every node of a composite pair loop:
+:func:`compile_pair_terms`.
 On the Taylor arithmetic of :mod:`msquad.jets`, built over either of the
 two, a value is a jet of Taylor coefficients, its checks read coefficient 0
 and sqrt needs a positive argument, as its derivative is singular at 0.
@@ -355,12 +356,12 @@ class Tracer:
         if line not in self.lines:
             self.lines.append(line)
 
-    def _block(self, indent: int, last: str) -> str:
-        """The lines, then ``last``, indented.  A temporary used once whose
-        definition only adds, subtracts, multiplies or negates is inlined,
-        parenthesised, where it is used: on floats none of these raises, so
-        the same line raises the same error, and the same operations run in
-        the same order."""
+    def _block(self, indent: int, last: str, checks: bool = True) -> str:
+        """The lines, then ``last``, indented, the checks left out unless
+        ``checks``.  A temporary used once whose definition only adds,
+        subtracts, multiplies or negates is inlined, parenthesised, where it
+        is used: on floats none of these raises, so the same line raises the
+        same error, and the same operations run in the same order."""
         lines = (*self.lines, last)
         uses = Counter(_TEMP.findall("\n".join(lines)))  # a definition is one
         inline: dict[str, str] = {}  # defined, not yet used
@@ -371,7 +372,7 @@ class Tracer:
             name, _, src = line.partition(" = ")
             if uses[name] == 2 and _ARITHMETIC.fullmatch(src):
                 inline[name] = f"({src})"
-            else:
+            elif checks or not line.startswith("if "):
                 out.append(f"{' ' * indent}{line}\n")
         return "".join(out)
 
@@ -396,9 +397,13 @@ class Tracer:
         width ``h`` from ``a`` to ``b``, the lines inlined at each node.  Node
         ``j`` is ``a`` for ``j = 0``, ``a + j * h`` for ``0 < j < m`` and ``b``
         for ``j = m``, exactly as :meth:`~msquad.integrand.UniformGrid.nodes`
-        places them.  It checks nothing the lines do not, and wraps no error."""
+        places them.  It leaves out the lines' checks and wraps no error: on
+        floats each checked operation raises by itself (``/ 0.0``, ``log``
+        and ``sqrt`` outside their domains, ``0.0 ** -n``), and the caller
+        replays any error through the checked ``f``.  Temporaries inline as
+        they do with the checks in."""
         def at(indent, name):
-            return self._block(indent, f"{name} = {_src(result)}")
+            return self._block(indent, f"{name} = {_src(result)}", checks=False)
 
         return self._define("a, b, h, m, c, we, wm", f"    x = a\n{at(4, 'fa')}"
                             "    for j in range(2, m + 1, 2):\n"

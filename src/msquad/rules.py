@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import DerivativeUnavailableError, EvaluationError
 from .integrand import Integrand, Interval, UniformGrid
@@ -124,10 +124,29 @@ def _pair_sum(f: Integrand, grid: UniformGrid, rule: Rule) -> float:
         return math.nan
 
 
+def _rule_value(
+    f: Integrand, grid: UniformGrid, rule: Rule, slope: Callable[[], float] | None
+) -> float:
+    """The composite rule's value on the grid, not yet checked finite: the
+    pair sum, less ``h^2/15 * slope()`` for the corrected rule, where
+    ``slope()`` is ``f'(b) - f'(a)`` at the global endpoints and is called
+    after the pair sum (a point error comes before a derivative error)."""
+    total = _pair_sum(f, grid, rule)
+    if rule is Rule.MODIFIED_SIMPSON:
+        h = grid.h
+        total -= (h * h / 15.0) * slope()
+    return total
+
+
+def _endpoint_slope(f: Integrand, iv: Interval) -> float:
+    """``f'(b) - f'(a)``, the telescoped derivative correction."""
+    return f.derivative(1, iv.b) - f.derivative(1, iv.a)
+
+
 def composite_simpson(f: Integrand, grid: UniformGrid) -> QuadResult:
     """Composite Simpson rule over the grid's pairs of subintervals."""
     return QuadResult(
-        value=_finite(_pair_sum(f, grid, Rule.SIMPSON), "simpson rule value"),
+        value=_finite(_rule_value(f, grid, Rule.SIMPSON, None), "simpson rule value"),
         rule_id=Rule.SIMPSON,
         panels=grid.n_pairs,
         leading_error_estimate=None,
@@ -142,16 +161,14 @@ def composite_modified_simpson(f: Integrand, grid: UniformGrid) -> QuadResult:
     count.  With a single pair this is the three-point panel
     ``(b-a)/30 * [7 f(a) + 16 f(m) + 7 f(b)] - (b-a)^2/60 * [f'(b) - f'(a)]``.
     """
-    total = _pair_sum(f, grid, Rule.MODIFIED_SIMPSON)
-    h = grid.h
-    iv = grid.interval
-    correction = (h * h / 15.0) * (f.derivative(1, iv.b) - f.derivative(1, iv.a))
+    value = _rule_value(f, grid, Rule.MODIFIED_SIMPSON,
+                        lambda: _endpoint_slope(f, grid.interval))
     try:  # None when f^(5) is missing or fails at an endpoint, or h^6 overflows
         estimate = leading_error_estimate(f, grid)
     except (DerivativeUnavailableError, EvaluationError, OverflowError):
         estimate = math.inf
     return QuadResult(
-        value=_finite(total - correction, "msimpson rule value"),
+        value=_finite(value, "msimpson rule value"),
         rule_id=Rule.MODIFIED_SIMPSON,
         panels=grid.n_pairs,
         leading_error_estimate=estimate if math.isfinite(estimate) else None,

@@ -17,8 +17,10 @@ of its own (this script with ``--child``):
   point, an interval drawn from the CLI limits, a pair count and a
   tolerance.  At the point the compiled value and the compiled jets of
   orders 0..6 run; on the interval both composite rules, the reference
-  oracle, and for k = 2..6 the sampled range of f^(k) and its bound report,
-  each on the expression integrand that the CLI builds;
+  oracle, for k = 2..6 the sampled range of f^(k) and its bound report,
+  and the studies (``convergence_study`` of each composite rule and
+  ``compare_rules``, over the pair counts ``N_LIST``), each on the
+  expression integrand that the CLI builds;
 - with ``--source`` a case is a text of the test corpora, a bench family
   or a power, each once (``--count`` and ``--seed`` do not apply), and its
   outcome is the source of every function that ``Tracer._define`` makes
@@ -31,9 +33,9 @@ It prints one summary line, for example
 and writes each differing case with both outcomes to ``--out`` as JSON.  A
 CLI case differs by ``traceback`` (either side printed one), else by
 ``exit`` (the codes differ), else by ``stdout``, ``stderr`` or both; a
-library case by ``value``, ``jet``, ``rules``, ``reference``, ``bounds``
-or several of them, each compared bit for bit; a source case by ``value``,
-``pairs``, ``jet`` or several of them.  The library and source modes read
+library case by ``value``, ``jet``, ``rules``, ``reference``, ``bounds``,
+``study`` or several of them, each compared bit for bit; a source case by
+``value``, ``pairs``, ``jet`` or several of them.  The library and source modes read
 the corpora from ``tests/helpers.py``, which imports msquad from HEAD.
 """
 
@@ -50,6 +52,7 @@ import sys
 import traceback
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 # Powers of every kind: constant and varying exponents, integral at some
 # points, non-finite, with calls, and bases that reach zero or go negative.
@@ -68,6 +71,8 @@ _LIMITS = ("0", "-0.0", "1", "-1", "2", "3", "0.5", "-2", "1e-8", "10", "1e-300"
            "5e-324", "1e-320", "1e300", "-1e300", "inf", "-inf", "nan", "1e4")
 _N = ("1", "2", "3", "8", "16", "0", "-1")
 _N_LISTS = ("2,4,8", "2,4", "4,2", "1", "x")
+# The pair counts of a library case's studies: one doubling list for all.
+N_LIST = [1, 2, 4, 8, 16, 32]
 # The usage errors of tests/smoke.sh.  A huge pair count is drawn only here,
 # where the spacing underflows: elsewhere it is a valid, endless run.
 _HUGE = "1000000000000000000000000000000"
@@ -171,17 +176,22 @@ def _run_cli(argv: list[str]) -> list:
     return [code, out.getvalue(), err.getvalue()]
 
 
+def _text(v):
+    """``v`` as text: a float in hex (any NaN as "nan"), a tuple as the list
+    of its fields' texts, anything else its ``repr``."""
+    if isinstance(v, float):
+        return "nan" if math.isnan(v) else v.hex()
+    return [_text(field) for field in v] if isinstance(v, tuple) else repr(v)
+
+
 def _outcome(fn, *args):
-    """The result, or each field of a tuple of them, as text: a float in hex
-    (any NaN as "nan"), anything else its ``repr``; or the error's class and
-    message."""
+    """The result, or each field of a tuple of them, as text (see
+    :func:`_text`); or the error's class and message."""
     try:
         values = fn(*args)
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
-    values = values if isinstance(values, tuple) else (values,)
-    return [("nan" if math.isnan(v) else v.hex()) if isinstance(v, float) else repr(v)
-            for v in values]
+    return _text(values if isinstance(values, tuple) else (values,))
 
 
 def _library_runner():
@@ -191,8 +201,8 @@ def _library_runner():
     from msquad.expressions import compile_expression, parse
     from msquad.integrand import Interval, UniformGrid
     from msquad.jets import compile_jet, expression_integrand
-    from msquad.reference import reference_integral
-    from msquad.rules import composite_modified_simpson, composite_simpson
+    from msquad.reference import compare_rules, convergence_study, reference_integral
+    from msquad.rules import Rule, composite_modified_simpson, composite_simpson
 
     compiled = {}
 
@@ -222,6 +232,9 @@ def _library_runner():
                       for rule in (composite_simpson, composite_modified_simpson)],
             "reference": on_interval(reference_integral, tol),
             "bounds": [on_interval(bound, k, n) for k in range(2, 7)],
+            "study": [*(on_interval(partial(convergence_study, rule), N_LIST)
+                        for rule in (Rule.SIMPSON, Rule.MODIFIED_SIMPSON)),
+                      on_interval(compare_rules, N_LIST)],
         }
 
     return run_case

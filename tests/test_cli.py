@@ -599,7 +599,7 @@ def test_library_sweep_of_this_tree_against_itself_is_identical():
     # the draw reaches results, not only errors (an error is one string)
     outcomes = sweep.run_tree(src, cases[:40], library=True)
     assert any(isinstance(o["reference"], list) for o in outcomes)
-    for kind in ("rules", "bounds"):
+    for kind in ("rules", "bounds", "study"):
         assert any(isinstance(r, list) for o in outcomes for r in o[kind]), kind
 
 

@@ -2,6 +2,7 @@ import io
 import math
 import random
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 import mpmath
@@ -22,7 +23,7 @@ from helpers import (
 from msquad.cli import run
 from msquad.errors import EvaluationError, ReferenceConvergenceError
 from msquad.expressions import compile_expression, parse
-from msquad.integrand import Integrand, Interval
+from msquad.integrand import Integrand, Interval, UniformGrid
 from msquad.jets import expression_integrand
 from msquad.reference import (
     _DEFAULT_SEGMENT_LIMIT,
@@ -36,7 +37,7 @@ from msquad.reference import (
     convergence_study,
     reference_integral,
 )
-from msquad.rules import Rule
+from msquad.rules import Rule, composite_modified_simpson
 
 UNIT = Interval(0.0, 1.0)
 SYM = Interval(-1.0, 1.0)
@@ -680,6 +681,62 @@ def test_compare_runs_the_oracle_once(monkeypatch):
     assert len(calls) == 1
     assert cmp.simpson == convergence_study(Rule.SIMPSON, GAUSS, UNIT, [1, 2])
     assert cmp.modified == convergence_study(Rule.MODIFIED_SIMPSON, GAUSS, UNIT, [1, 2])
+
+
+def test_a_study_takes_each_endpoint_derivative_once(monkeypatch):
+    # The paper's claim, for a whole study: the corrections telescope to
+    # f'(b) - f'(a), taken once for every grid, and no f^(5) is evaluated.
+    # A single corrected rule still takes f' and f^(5) at both endpoints.
+    calls = []
+    derivative = Integrand.derivative
+
+    def counted(self, order, x):
+        calls.append((order, x))
+        return derivative(self, order, x)
+
+    monkeypatch.setattr(Integrand, "derivative", counted)
+    f, iv = expression_integrand("exp(-x^2)*sin(3*x)+1/(1+x^2)"), Interval(-1.0, 2.0)
+    n_list = [2**k for k in range(1, 9)]
+    for study in (compare_rules, partial(convergence_study, Rule.MODIFIED_SIMPSON)):
+        calls.clear()
+        study(f, iv, n_list)
+        assert calls == [(1, 2.0), (1, -1.0)], study
+    for n in (1, 8, 1000):
+        calls.clear()
+        composite_modified_simpson(f, UniformGrid(iv, n))
+        assert calls == [(1, 2.0), (1, -1.0), (5, 2.0), (5, -1.0)], n
+
+
+def test_a_study_never_asks_for_the_fifth_derivative():
+    # An error of f^(5) that the corrected rule lets through (it maps only
+    # the missing, failing or overflowing estimate to None) fails the rule
+    # but not a study, whose rows keep no estimate.
+    def fifth(x):
+        raise RuntimeError("no fifth derivative")
+
+    f = Integrand.from_callables(*[math.exp] * 5, fifth)
+    with pytest.raises(RuntimeError):
+        composite_modified_simpson(f, UniformGrid(SYM, 2))
+    assert convergence_study(Rule.MODIFIED_SIMPSON, f, SYM, [1, 2]) == convergence_study(
+        Rule.MODIFIED_SIMPSON, EXP, SYM, [1, 2])
+
+
+@pytest.mark.parametrize("study", [compare_rules,
+                                   partial(convergence_study, Rule.MODIFIED_SIMPSON)],
+                         ids=["compare", "converge"])
+@pytest.mark.parametrize(
+    "text, abscissa",
+    [("1/(x-0.5)", 0.5),  # the oracle's first sample, at the centre, fails
+     ("x/x", 0.0)],  # the oracle never samples an endpoint; the first grid does
+)
+def test_a_study_takes_the_slope_after_the_first_pair_sum(study, text, abscissa):
+    # f'(1) = log(0) fails too: the point error comes first, as with
+    # composite_modified_simpson
+    f = expression_integrand(text, "log(x-1)")
+    with pytest.raises(EvaluationError) as info:
+        study(f, UNIT, [1, 2])
+    assert (str(info.value), info.value.abscissa) == (
+        f"division by zero (at x = {abscissa})", abscissa)
 
 
 def test_compare_exp_single_pair():
