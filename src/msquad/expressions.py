@@ -295,6 +295,15 @@ class Tracer:
     too.  ``t + 0.0`` stays, as ``-0.0 + 0.0`` is ``0.0``, and ``0.0 * t``,
     as it is NaN for ``t`` = inf.
 
+    A jet's sum of two terms is not ``fsum((p, q))`` but ``p + q + 0.0``,
+    bound to a temporary that ``sums`` records.  On CPython 3.11, for
+    finite ``p`` and ``q`` with a finite sum, ``fsum`` returns the
+    correctly rounded ``p + q``, and an exact zero as +0.0, which the
+    ``+ 0.0`` gives; elsewhere it raises or is not finite.  So
+    :meth:`guarded` returns the lines' result only where the recorded sums
+    add up to a finite value, which makes each of them finite, and hands
+    every other point to the reference.
+
     When the lines become a function, a temporary used once whose definition
     only adds, subtracts, multiplies or negates is inlined at its use (see
     ``_block``), and the scope's constants and functions are its locals.
@@ -305,7 +314,9 @@ class Tracer:
         self.bound: dict[str, str] = {}  # source text -> the local bound to it
         self.named: dict[str, str] = {}  # repr of a constant -> its name
         self.constants: dict[str, float] = {}
+        self.sums: dict[str, None] = {}  # the temporaries of two-term sums, in order
         self.scope: dict = {"EvaluationError": EvaluationError, "fsum": math.fsum,
+                            "isfinite": math.isfinite,
                             **{fn: getattr(math, fn) for fn in FUNCTIONS}}
 
     def const(self, value: float) -> str:
@@ -347,8 +358,13 @@ class Tracer:
     sqrt_domain = _SQRT_DOMAIN
 
     def fsum(self, terms):
-        # math.fsum of nothing is 0.0; the jets write one term t as t + 0.0
-        return f"fsum({_src(tuple(terms))})" if terms else 0.0
+        # math.fsum of nothing is 0.0; the jets write one term t as t + 0.0,
+        # and two as a recorded p + q + 0.0 (see the class docstring)
+        if len(terms) != 2:
+            return f"fsum({_src(tuple(terms))})" if terms else 0.0
+        name = self.let(_Expr(" + ".join(map(_operand, (*terms, 0.0)))))
+        self.sums[name] = None
+        return name
 
     def check(self, v, test: str, message: str) -> None:
         line = (f"if {_operand(v)} {test} 0.0: "
@@ -384,12 +400,27 @@ class Tracer:
         exec(compile(f"def f({header}):\n{body}", filename, "exec"), self.scope)
         return self.scope["f"]
 
-    def function(self, result, overflow: str, filename: str) -> Callable:
-        """A function of ``x`` running the lines; OverflowError becomes ``overflow``."""
+    def function(self, result, filename: str) -> Callable:
+        """A function of ``x`` running the lines; OverflowError becomes the
+        EvaluationError that :func:`evaluate` raises."""
         return self._define("x", f"    try:\n{self._block(8, f'return {_src(result)}')}"
                             "    except OverflowError:\n"
-                            f"        raise EvaluationError({overflow!r}, x) from None\n",
+                            f"        raise EvaluationError({_OVERFLOW!r}, x) from None\n",
                             filename)
+
+    def guarded(self, result, reference: Callable, filename: str) -> Callable:
+        """A function of ``x`` running the lines that returns ``result`` if
+        the recorded sums add up to a finite value, the one test for all of
+        them, and ``reference(x)`` where they do not or a line raises: any
+        error, as ``reference`` raises what the point raises."""
+        self.scope["reference"] = reference
+        last = f"return {_src(result)}"
+        if self.sums:
+            last = f"if isfinite({' + '.join(self.sums)}): {last}"
+        return self._define("x", f"    try:\n{self._block(8, last)}"
+                            "    except Exception:\n"
+                            "        pass\n"
+                            "    return reference(x)\n", filename)
 
     def pair_terms(self, result) -> Callable:
         """A generator ``f(a, b, h, m, c, we, wm)`` of ``c * (we*fa + wm*fm +
@@ -428,7 +459,7 @@ def compile_expression(node: Expression) -> Callable[[float], float]:
     that uses it (see :class:`Tracer`).  Compiling never raises: an error
     belongs to the point that makes it."""
     tracer = Tracer()
-    return tracer.function(_value(tracer, node, "x"), _OVERFLOW, "<msquad expression>")
+    return tracer.function(_value(tracer, node, "x"), "<msquad expression>")
 
 
 def compile_pair_terms(node: Expression) -> Callable:

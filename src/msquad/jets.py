@@ -21,6 +21,16 @@ term ``t`` as ``t + 0.0``.  On CPython 3.11 neither changes a bit: ``fsum``
 ignores zeros of either sign, and ``fsum((t,))`` is ``t + 0.0`` for every
 ``t``.  The rule is the Taylor arithmetic's, so both scalar arithmetics
 agree on any Python.
+
+Compiled, a sum of two terms is ``p + q + 0.0``, not ``fsum((p, q))``.  On
+CPython 3.11 the two agree wherever that sum is finite: for finite ``p``
+and ``q`` with a finite sum ``fsum`` is the correctly rounded ``p + q``,
+and an exact zero reads +0.0.  Elsewhere ``fsum`` raises (on overflow or
+inf - inf) or is not finite.  So a compiled jet tests its two-term sums
+with one guard, that they add up to a finite value, before it returns;
+where the guard fails, or any line raises, it returns
+``derivatives(expr, x, order).coeffs``.  The reference decides those
+points, and no second jet is compiled.
 """
 
 from __future__ import annotations
@@ -227,12 +237,15 @@ def derivatives(expr: Expression, x0: float, order: int = ORDER) -> TaylorJet:
 def compile_jet(expr: Expression, order: int = ORDER) -> Callable[[float], tuple[float, ...]]:
     """Compile the tree once into a function of ``x`` that returns
     ``derivatives(expr, x, order).coeffs`` and raises what
-    :func:`derivatives` does.  Compiling never raises: an error belongs to
-    the point."""
+    :func:`derivatives` does.  Its lines write each sum of two terms as
+    ``p + q + 0.0`` (see the module docstring), and one guard tests that
+    those sums add up to a finite value; where they do not, or a line
+    raises, the function calls :func:`derivatives`.  Compiling never
+    raises: an error belongs to the point."""
     tracer = Tracer()
     A = _Jets(tracer, order)
-    return tracer.function(_value(A, expr, A.variable(tracer.let("float(x)"))),
-                           _OVERFLOW, "<msquad jet>")
+    return tracer.guarded(_value(A, expr, A.variable(tracer.let("float(x)"))),
+                          lambda x: derivatives(expr, x, order).coeffs, "<msquad jet>")
 
 
 def expression_integrand(text: str, df_text: str | None = None) -> Integrand:
@@ -241,7 +254,9 @@ def expression_integrand(text: str, df_text: str | None = None) -> Integrand:
     Point values come from the tree compiled once by
     :func:`~msquad.expressions.compile_expression`, a derivative of order k
     from the order-k jet that :func:`compile_jet` compiles on the first
-    request for that order (rules that take none never pay for it), and
+    request for that order (rules that take none never pay for it; where
+    the jet's guard on its two-term sums fails, :func:`derivatives` gives
+    the point's coefficients or error), and
     the pair loop of the composite rules by
     :func:`~msquad.expressions.compile_pair_terms` on the first of them.
     ``df_text``, when given, is compiled too and overrides order 1 only

@@ -60,9 +60,11 @@ for k in 2 3 4 5 6; do
 done
 
 step "Compiled jets return and raise what the reference jets do"
-# the tracer drops zero fsum terms and writes fsum((t,)) as t + 0.0, which
-# rests on this interpreter's math.fsum; an outcome is the coefficients' hex
-# (any NaN is "nan") or the error's class and message
+# the tracer drops zero fsum terms, writes fsum((t,)) as t + 0.0 and
+# fsum((p, q)) as p + q + 0.0 under a finiteness guard, which rests on this
+# interpreter's math.fsum (-0.0 + -0.0 at x = -0.0; at 354.7 the two products
+# of exp(x)*exp(x) are finite and their sum overflows); an outcome is the
+# coefficients' hex (any NaN is "nan") or the error's class and message
 $PYTHON -c "
 import math
 from msquad.expressions import parse
@@ -75,11 +77,12 @@ def outcome(fn, x):
 bad = []
 for text in ('exp(-1.25*x^2)*sin(3.5*x)+1/(1+0.75*x^2)',
              'cos(3.5*x)*exp(-1.25*x)+sqrt(1+0.75*x^2)',
-             'log(1+0.75*x^2)*cos(3.5*x)+x/(1+1.25*x^2)'):
+             'log(1+0.75*x^2)*cos(3.5*x)+x/(1+1.25*x^2)',
+             'exp(x)*exp(x)'):
     tree = parse(text)
     for k in range(1, 7):
         jet = compile_jet(tree, k)
-        for x in (-0.0, 0.0, 0.37, -1.5, 1e160, math.inf, math.nan):
+        for x in (-0.0, 0.0, 0.37, -1.5, 354.7, 1e160, math.inf, math.nan):
             want = outcome(lambda x: derivatives(tree, x, k).coeffs, x)
             if outcome(jet, x) != want:
                 bad.append((text, k, x, outcome(jet, x), want))
