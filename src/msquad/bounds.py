@@ -21,8 +21,7 @@ from them is flagged non-rigorous.
 from __future__ import annotations
 
 import math
-from itertools import chain
-from typing import Iterator, Literal, NamedTuple
+from typing import Literal, NamedTuple
 
 from .errors import EvaluationError, InvalidRangeError, SlopeInconsistencyError
 from .integrand import MAX_DERIVATIVE_ORDER, Integrand, Interval, _make
@@ -265,8 +264,11 @@ def _golden_polish(
 
 def _check_sampling(k: int, n_samples: int, safety: float) -> None:
     """Raise ValueError unless :func:`estimate_derivative_range` takes these."""
-    if not 1 <= k <= MAX_DERIVATIVE_ORDER:
-        raise ValueError(f"derivative order must be in 1..{MAX_DERIVATIVE_ORDER}, got {k}")
+    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= MAX_DERIVATIVE_ORDER:
+        raise ValueError(f"derivative order must be an integer in 1..{MAX_DERIVATIVE_ORDER}, "
+                         f"got {k!r}")
+    if not isinstance(n_samples, int) or isinstance(n_samples, bool):
+        raise ValueError(f"sample count must be an integer, got {n_samples!r}")
     if n_samples < 8:
         raise ValueError(f"need at least 8 samples, got {n_samples}")
     if not safety >= 1.0:  # a NaN factor fails here too
@@ -298,64 +300,60 @@ def estimate_derivative_range(
     below what the ``safety`` inflation adds, so a tighter stop buys
     nothing; where the extremum is a bracket end, its sample is the value.
 
-    An expression integrand (``f._pair_terms`` set) is sampled through its
-    compiled derivative provider unchecked.  Where a value raises or is
-    not finite, ``f.derivative`` replays that one point and alone decides
-    the error, so the first failing abscissa and its message are those of
-    the checked path.
+    An expression integrand is sampled through its compiled order-k jet
+    (``f._fast.jet(k)``, fetched once), one call per abscissa, unchecked.
+    Where a value raises or is not finite, ``f.derivative`` replays that
+    one point and alone decides the error, so the first failing abscissa
+    and its message are those of the checked path.
     """
     _check_sampling(k, n_samples, safety)
 
-    checked = f.derivative
-    if f._pair_terms is None:
+    checked, isfinite, nan = f.derivative, math.isfinite, math.nan
+    jet = None if f._fast is None else f._fast.jet(k)
+    scale = math.factorial(k)
 
-        def dk(x: float) -> float:
-            return checked(k, x)
-
-    else:
-        provider = f._derivative_fn
-
-        def dk(x: float) -> float:
+    def dk(x: float) -> float:
+        """f^(k)(x) by the replay rule; the sample loop below inlines it."""
+        v = nan
+        if jet is not None:
             try:
-                value = provider(k, x)
-            except (EvaluationError, ArithmeticError, ValueError):  # what checked maps
-                return checked(k, x)
-            return value if math.isfinite(value) else checked(k, x)
+                v = jet(x)[k] * scale
+            except Exception:
+                pass
+        return v if isfinite(v) else checked(k, x)
 
-    mid = 0.5 * (iv.a + iv.b)
-    rad = 0.5 * iv.width
-    last = n_samples - 1
-
-    def samples() -> Iterator[tuple[float, float]]:
-        """(x, f^(k)(x)) at Chebyshev extrema points, which cluster near the
-        endpoints and hit them, in increasing x."""
-        yield iv.a, dk(iv.a)
-        for i in range(last - 1, 0, -1):
-            x = mid + rad * math.cos(math.pi * i / last)
-            yield x, dk(x)
-        yield iv.b, dk(iv.b)
-
-    # The first running min and max, each with its neighbouring samples;
-    # an end sample is its own outer neighbour.
-    points = samples()
-    before = here = next(points)
-    low = high = None
-    for after in chain(points, [None]):
-        after = after or here
-        if low is None or here[1] < low[1][1]:
-            low = before, here, after
-        if high is None or here[1] > high[1][1]:
-            high = before, here, after
-        before, here = here, after
+    # Chebyshev extrema points, which cluster near the endpoints and hit
+    # them, in increasing x: a, then i = last - 1 .. 1, then b (i = 0).
+    # Each sample is judged once the next is known, so the first running
+    # min and max keep their neighbouring samples, the polish brackets; an
+    # end sample is its own outer neighbour.
+    a, b = iv.a, iv.b
+    mid, rad, last, cos, pi = 0.5 * (a + b), 0.5 * iv.width, n_samples - 1, math.cos, math.pi
+    xb, vb = xh, vh = a, dk(a)  # the sample before, and the one judged next
+    low, high = math.inf, -math.inf
+    for i in range(last - 1, -1, -1):
+        x = mid + rad * cos(pi * i / last) if i else b
+        v = nan
+        if jet is not None:
+            try:
+                v = jet(x)[k] * scale
+            except Exception:
+                pass
+        if not isfinite(v):
+            v = checked(k, x)
+        if vh < low:
+            low, low_bracket = vh, (xb, x, vb, v)
+        if vh > high:
+            high, high_bracket = vh, (xb, x, vb, v)
+        xb, vb, xh, vh = xh, vh, x, v
+    if vh < low:
+        low_bracket = xb, xh, vb, vh
+    if vh > high:
+        high_bracket = xb, xh, vb, vh
 
     tol = 1e-6 * max(iv.width, 1.0)
-
-    def bracket(best: tuple) -> tuple[float, float, float, float]:
-        (x_lo, v_lo), _, (x_hi, v_hi) = best
-        return x_lo, x_hi, v_lo, v_hi
-
-    lo = _golden_polish(dk, *bracket(low), minimize=True, tol=tol)
-    hi = _golden_polish(dk, *bracket(high), minimize=False, tol=tol)
+    lo = _golden_polish(dk, *low_bracket, minimize=True, tol=tol)
+    hi = _golden_polish(dk, *high_bracket, minimize=False, tol=tol)
     lo, hi = min(lo, hi), max(lo, hi)
 
     centre = 0.5 * (lo + hi)

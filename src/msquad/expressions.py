@@ -296,13 +296,9 @@ class Tracer:
     as it is NaN for ``t`` = inf.
 
     A jet's sum of two terms is not ``fsum((p, q))`` but ``p + q + 0.0``,
-    bound to a temporary that ``sums`` records.  On CPython 3.11, for
-    finite ``p`` and ``q`` with a finite sum, ``fsum`` returns the
-    correctly rounded ``p + q``, and an exact zero as +0.0, which the
-    ``+ 0.0`` gives; elsewhere it raises or is not finite.  So
-    :meth:`guarded` returns the lines' result only where the recorded sums
-    add up to a finite value, which makes each of them finite, and hands
-    every other point to the reference.
+    bound to a temporary that ``sums`` records, and :meth:`guarded` returns
+    the lines' result only where the recorded sums add up to a finite
+    value; :mod:`msquad.jets` says why that keeps the bits of ``fsum``.
 
     When the lines become a function, a temporary used once whose definition
     only adds, subtracts, multiplies or negates is inlined at its use (see

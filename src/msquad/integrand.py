@@ -112,12 +112,16 @@ class Integrand:
     :class:`EvaluationError` carrying the offending abscissa.
     """
 
-    # An expression integrand's traced composite pair loop.  Its presence
-    # also marks ``_fn`` and ``_derivative_fn`` as compiled code returning
-    # floats: the reference oracle samples ``_fn`` unchecked and replays
-    # through ``f(x)``, and the range estimator samples ``_derivative_fn``
-    # unchecked and replays through ``f.derivative``.
-    _pair_terms = None
+    # The private fast interface: None, so a callable integrand is always
+    # checked.  An expression integrand's is compiled code that returns
+    # floats unchecked: ``value(x)``, the composite pair loop
+    # ``pair_terms(a, b, h, m, c, we, wm)`` and ``jet(k)``, a function of
+    # ``x`` whose item ``k`` times ``k!`` is f^(k)(x).  The rules' pair sums,
+    # the reference oracle and the range estimator keep one replay rule: a
+    # fast result stands where it is finite, and where it is not, or the
+    # fast code raises any ``Exception``, the checked ``f(x)`` or
+    # ``f.derivative`` runs the same points and alone decides the error.
+    _fast = None
 
     def __init__(
         self,

@@ -238,55 +238,60 @@ def compile_jet(expr: Expression, order: int = ORDER) -> Callable[[float], tuple
     """Compile the tree once into a function of ``x`` that returns
     ``derivatives(expr, x, order).coeffs`` and raises what
     :func:`derivatives` does.  Its lines write each sum of two terms as
-    ``p + q + 0.0`` (see the module docstring), and one guard tests that
-    those sums add up to a finite value; where they do not, or a line
-    raises, the function calls :func:`derivatives`.  Compiling never
-    raises: an error belongs to the point."""
+    ``p + q + 0.0``, and its guard keeps the replay rule of
+    :class:`Integrand`: the lines' result stands where those sums add up
+    to a finite value, and elsewhere, or where any line raises, the
+    checked :func:`derivatives` decides the point.  Compiling never raises."""
     tracer = Tracer()
     A = _Jets(tracer, order)
     return tracer.guarded(_value(A, expr, A.variable(tracer.let("float(x)"))),
                           lambda x: derivatives(expr, x, order).coeffs, "<msquad jet>")
 
 
-def expression_integrand(text: str, df_text: str | None = None) -> Integrand:
-    """Build an :class:`Integrand` from expression text.
+class _Fast:
+    """An expression integrand's fast interface (see
+    :class:`~msquad.integrand.Integrand`), each piece compiled on first use."""
 
-    Point values come from the tree compiled once by
-    :func:`~msquad.expressions.compile_expression`, a derivative of order k
-    from the order-k jet that :func:`compile_jet` compiles on the first
-    request for that order (rules that take none never pay for it; where
-    the jet's guard on its two-term sums fails, :func:`derivatives` gives
-    the point's coefficients or error), and
-    the pair loop of the composite rules by
-    :func:`~msquad.expressions.compile_pair_terms` on the first of them.
-    ``df_text``, when given, is compiled too and overrides order 1 only
-    (orders 2..6 still come from the jets of ``text``).  ``text`` is
-    parsed before ``df_text``.
-    """
-    expr = parse(text)
-    df = compile_expression(parse(df_text)) if df_text is not None else None
-    jets = {}  # order -> its compiled jet
+    def __init__(self, expr: Expression, df: Callable[[float], float] | None):
+        self.expr, self.value = expr, compile_expression(expr)
+        # order -> its jet; a df override is order 1, with no coefficient 0
+        self.jets = {} if df is None else {1: lambda x: (None, df(x))}
 
-    def provider(order: int, x: float) -> float:
-        if order == 1 and df is not None:
-            return df(x)
-        jet = jets.get(order)
+    def jet(self, order: int) -> Callable[[float], tuple]:
+        jet = self.jets.get(order)
         if jet is None:
-            jet = jets[order] = compile_jet(expr, order)
+            jet = self.jets[order] = compile_jet(self.expr, order)
+        return jet
+
+    def derivative(self, order: int, x: float) -> float:
+        """f^(order)(x) by :meth:`jet`: the provider that ``f.derivative`` checks."""
         try:
-            coeffs = jet(x)
+            return self.jet(order)(x)[order] * _FACTORIALS[order]
         except ValueError as exc:
             if not str(exc).endswith(" in fsum"):  # sin or cos of an infinite value
                 raise
             # a recurrence's fsum met inf - inf: that coefficient is not finite
             raise EvaluationError(f"derivative of order {order} is non-finite", x) from None
-        return coeffs[order] * _FACTORIALS[order]
 
-    f = Integrand(compile_expression(expr), provider, max_order=ORDER, name=text)
+    def pair_terms(self, *args):  # compiles on the first call, then is replaced
+        self.pair_terms = compile_pair_terms(self.expr)
+        return self.pair_terms(*args)
 
-    def pair_terms(*args):  # compiles on the first call, then is replaced
-        f._pair_terms = compile_pair_terms(expr)
-        return f._pair_terms(*args)
 
-    f._pair_terms = pair_terms
+def expression_integrand(text: str, df_text: str | None = None) -> Integrand:
+    """Build an :class:`Integrand` from expression text.
+
+    Its fast interface ``f._fast`` holds the tree compiled by
+    :func:`~msquad.expressions.compile_expression`, the order-k jet of
+    :func:`compile_jet` from the first request for that order and the pair
+    loop of :func:`~msquad.expressions.compile_pair_terms` from the first
+    composite rule; ``f(x)`` and ``f.derivative`` check the same functions.
+    ``df_text``, when given, is compiled too and overrides order 1 only, on
+    both paths (orders 2..6 still come from the jets of ``text``).  ``text``
+    is parsed first.
+    """
+    expr = parse(text)
+    fast = _Fast(expr, compile_expression(parse(df_text)) if df_text is not None else None)
+    f = Integrand(fast.value, fast.derivative, max_order=ORDER, name=text)
+    f._fast = fast
     return f

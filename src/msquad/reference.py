@@ -87,20 +87,20 @@ def _kronrod_segment(
     rounding floor, fixed floor).  The estimate is never below the floor;
     the fixed floor is the floor where bisecting cannot lower it, else 0.
 
-    One sampler, :func:`_samples`, feeds both passes.  An expression
-    integrand samples its compiled function unchecked; if that raises, or
-    the 15 values do not sum to a finite number (as whenever one of them
-    is not finite), the checked ``f`` replays the samples in the same
-    order and alone decides the error.  A sum that overflows on finite
-    values only replays the same values.  The four sums of ``dqk15`` are
-    written out term by term, each a correctly rounded :func:`math.fsum`
-    over a literal tuple of its products, so no summation order shows."""
+    One sampler, :func:`_samples`, feeds both passes of the replay rule of
+    :class:`Integrand`: an expression integrand's fast ``f._fast.value``
+    first, kept where the 15 values sum to a finite number, else the
+    checked ``f`` in the same order, which alone decides the error (a sum
+    that overflows on finite values replays the same values).  The four
+    sums of ``dqk15`` are written out term by term, each a correctly
+    rounded :func:`math.fsum` over a literal tuple of its products, so no
+    summation order shows."""
     scale = 0.5 * (hi - lo)
     centre = lo + scale
     s = None
-    if f._pair_terms is not None:
+    if f._fast is not None:
         try:
-            s = _samples(f._fn, centre, scale)
+            s = _samples(f._fast.value, centre, scale)
         except Exception:
             pass
     if s is None or not math.isfinite(sum(s)):

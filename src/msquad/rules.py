@@ -7,11 +7,8 @@ The midpoint rules take one panel.  The Simpson rules run over a
 :class:`~msquad.integrand.UniformGrid`, and over one pair of subintervals
 they are the three-point panel itself; the derivative corrections
 telescope, so only the two global endpoint derivatives are ever
-evaluated.  An expression integrand sums its pairs in
-one traced loop that places the grid's nodes and inlines its point values,
-each repeated subexpression computed once per node; any error in it is
-replayed through the checked streaming loop that every callable integrand
-runs.
+evaluated.  An expression integrand sums its pairs in one compiled loop
+(see :func:`_pair_sum`); a callable integrand streams checked values.
 """
 
 from __future__ import annotations
@@ -91,21 +88,20 @@ def _pair_sum(f: Integrand, grid: UniformGrid, rule: Rule) -> float:
 
     Nodes stream from :meth:`UniformGrid.nodes` in increasing order and
     each pair's right-hand value is the next pair's left-hand value, so
-    memory does not grow with the pair count.  An expression integrand's
-    traced pair loop places the same nodes itself from ``a``, ``b`` and
-    ``h``, and checks no point value: if it raises, or its sum is not
-    finite (as any non-finite point value makes it), the checked stream of
-    ``f(x)`` over the grid's nodes replays the sum and alone decides the
-    error.  Returns NaN when the sum overflows, which :func:`_finite`
-    reports.
+    memory does not grow with the pair count.  An expression integrand
+    sums its fast pair loop ``f._fast.pair_terms``, which places the same
+    nodes from ``a``, ``b`` and ``h`` and checks no point value; by the
+    replay rule of :class:`Integrand`, where that sum raises or is not
+    finite, the checked stream of ``f(x)`` replays it and alone decides the
+    error.  Returns NaN when the sum overflows, which :func:`_finite` reports.
     """
     h = grid.h
     d, we, wm = _PAIRS[rule]
     c = h / d
-    if f._pair_terms is not None:
+    if f._fast is not None:
         iv = grid.interval
         try:
-            total = math.fsum(f._pair_terms(iv.a, iv.b, h, grid.n_subintervals, c, we, wm))
+            total = math.fsum(f._fast.pair_terms(iv.a, iv.b, h, grid.n_subintervals, c, we, wm))
         except Exception:  # the replay raises it as the checked path does
             total = math.nan
         if math.isfinite(total):

@@ -89,6 +89,10 @@ for text in ('exp(-1.25*x^2)*sin(3.5*x)+1/(1+0.75*x^2)',
 assert not bad, bad
 "
 
+step "A --df override is the order-1 derivative on every path"
+# the secant of a k = 2 bound is f'(b) - f'(a), which --df supplies
+msquad bounds --f "sin(x)" --df "cos(x)" -a 0 -b 1 -k 2
+
 step "Each power takes its path from its tree"
 # a constant exponent, calls in it too, is known when traced: x^exp(0) is x^1
 msquad integrate --f "x^exp(0)" -a -2 -b -1

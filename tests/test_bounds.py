@@ -438,6 +438,22 @@ def test_estimator_validation():
         estimate_derivative_range(EXP, 0, UNIT)
 
 
+@pytest.mark.parametrize("k, n_samples, message", [
+    (True, 129, "derivative order must be an integer in 1..6, got True"),
+    (2.0, 129, "derivative order must be an integer in 1..6, got 2.0"),
+    (2, 129.0, "sample count must be an integer, got 129.0"),
+    (2, True, "sample count must be an integer, got True"),
+])
+def test_estimator_rejects_non_integer_arguments_on_both_integrand_kinds(k, n_samples, message):
+    # the compiled jet is indexed by k, which would take True for 1; a
+    # callable integrand's f.derivative rejected it, and float counts raised
+    # a TypeError from range()
+    for f in (expression_integrand("exp(x)"), EXP):
+        with pytest.raises(ValueError) as exc:
+            estimate_derivative_range(f, k, UNIT, n_samples=n_samples)
+        assert str(exc.value) == message
+
+
 @pytest.mark.parametrize(
     "fn, iv", [(lambda x: math.sin(3.0 * x), Interval(0.0, 3.0)), (math.exp, UNIT)],
     ids=["interior-extrema", "monotone"],
@@ -476,8 +492,8 @@ def _sampled_and_checked(text, df_text=None):
     """The expression integrand, and the same provider behind the public
     constructor, which the estimator calls through ``f.derivative``."""
     sampled = expression_integrand(text, df_text)
-    checked = Integrand(sampled._fn, sampled._derivative_fn, 6)
-    assert sampled._pair_terms is not None and checked._pair_terms is None
+    checked = Integrand(sampled._fast.value, sampled._fast.derivative, 6)
+    assert sampled._fast is not None and checked._fast is None
     return sampled, checked
 
 

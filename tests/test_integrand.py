@@ -1,13 +1,19 @@
 import copy
 import math
 import pickle
+from functools import partial
 
 import pytest
 
-from msquad.bounds import BoundReport, DerivativeRange
+from helpers import BENCH_FAMILIES, JET_CORPUS
+from msquad import jets
+from msquad.bounds import BoundReport, DerivativeRange, estimate_derivative_range
 from msquad.errors import DerivativeUnavailableError, EvaluationError, InvalidRangeError
 from msquad.expressions import Var, parse
 from msquad.integrand import Integrand, Interval, UniformGrid
+from msquad.jets import expression_integrand
+from msquad.reference import reference_integral
+from msquad.rules import Rule, _pair_sum
 
 
 def test_interval_requires_increasing_finite_endpoints():
@@ -147,3 +153,86 @@ def test_records_are_immutable_named_tuples():
         iv.a = 2.0
     with pytest.raises(AttributeError):
         iv.c = 2.0
+
+
+# -- the fast interface ----------------------------------------------------------
+
+# The bench families and the JET_CORPUS texts that are smooth on FAST_IV: no
+# point value, jet, node or segment fails there, so every fast result stands.
+FAST_IV = Interval(0.25, 1.25)
+_FAILING_ON_FAST_IV = {
+    "exp(1000)", "log(x-1)", "log(0)", "sqrt(x-1)", "sqrt(-x)", "1/(x-1)", "x/(x-1)",
+    "x/0", "(x-1)^-1", "0^-1", "(1e-200*x)^-2", "(1e200*x)^3", "x^2147483647",
+    "x^-2147483648", "x^2147483648", "x^2147483649", "(x-1)^1.5", "x^1e999", "x^-1e999",
+    "(1e-200*x)^(0-2)",
+}
+FAST_TEXTS = BENCH_FAMILIES + tuple(t for t in JET_CORPUS if t not in _FAILING_ON_FAST_IV)
+
+
+def _fast_paths(f: Integrand) -> list:
+    """What the range estimator (k = 1..6), both composite rules' pair sums
+    and the reference oracle give for ``f`` on FAST_IV."""
+    return ([estimate_derivative_range(f, k, FAST_IV) for k in range(1, 7)]
+            + [_pair_sum(f, UniformGrid(FAST_IV, 64), rule)
+               for rule in (Rule.SIMPSON, Rule.MODIFIED_SIMPSON)]
+            + [reference_integral(f, FAST_IV, tol=1e-10)])
+
+
+def _count_checked(monkeypatch) -> list:
+    """The abscissae of every checked call, ``f(x)`` or ``f.derivative``, from now on."""
+    xs = []
+    checked = Integrand._checked
+    monkeypatch.setattr(Integrand, "_checked",
+                        lambda f, what, x, *call: xs.append(x) or checked(f, what, x, *call))
+    return xs
+
+
+@pytest.mark.parametrize("text", FAST_TEXTS)
+def test_the_fast_paths_make_no_checked_call(text, monkeypatch):
+    # A fast path that is renamed or bypassed would replay through f(x) or
+    # f.derivative: the same bits, but a silent slowdown.
+    f = expression_integrand(text)
+    checked = _count_checked(monkeypatch)
+    _fast_paths(f)
+    assert checked == []
+
+
+@pytest.mark.parametrize("text", FAST_TEXTS)
+def test_the_estimator_calls_the_order_k_jet_once_per_abscissa(text, monkeypatch):
+    # A checked twin's provider sees each abscissa the estimator evaluates.
+    twin_of = expression_integrand(text)._fast
+    seen = []
+    twin = Integrand(twin_of.value, lambda k, x: seen.append(x) or twin_of.derivative(k, x), 6)
+    calls = []
+    compile_jet = jets.compile_jet
+
+    def counted(expr, order):
+        jet = compile_jet(expr, order)
+        return lambda x: calls.append((order, x)) or jet(x)
+
+    monkeypatch.setattr(jets, "compile_jet", counted)
+    f = expression_integrand(text)
+    for k in range(1, 7):
+        seen.clear()
+        want = estimate_derivative_range(twin, k, FAST_IV)
+        calls.clear()
+        assert estimate_derivative_range(f, k, FAST_IV) == want
+        assert calls == [(k, x) for x in seen]
+
+
+def test_a_callable_integrand_takes_only_the_checked_paths(monkeypatch):
+    # from_callables leaves the fast interface None: every value the paths
+    # take is one checked call of the callables, with the expression's bits.
+    g = expression_integrand(BENCH_FAMILIES[0])
+    calls = []
+
+    def counted(fn, *args):
+        calls.append(args[-1])
+        return fn(*args)
+
+    derivs = [partial(counted, g._fast.derivative, k) for k in range(1, 7)]
+    f = Integrand.from_callables(partial(counted, g._fast.value), *derivs)
+    assert f._fast is None
+    checked = _count_checked(monkeypatch)
+    assert _fast_paths(f) == _fast_paths(g)
+    assert checked == calls != []

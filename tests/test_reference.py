@@ -240,7 +240,7 @@ def test_kronrod_segment_is_bitwise_the_list_formula(samples, lo, width, uncheck
 
     f = Integrand(script)
     if unchecked:
-        f._pair_terms = object()  # mark ``_fn`` as sampled unchecked
+        f._fast = SimpleNamespace(value=script)  # sampled unchecked
     got = outcome(lambda seg: _kronrod_segment(f, *seg), (lo, hi))
     assert got == outcome(lambda seg: dqk15_reference(samples, *seg), (lo, hi))
     scale = 0.5 * (hi - lo)
@@ -514,7 +514,7 @@ def _oracle_outcome(f, iv, tol, limit=_DEFAULT_SEGMENT_LIMIT):
 def _sampled_and_checked(text):
     sampled = expression_integrand(text)
     checked = Integrand(compile_expression(parse(text)))
-    assert sampled._pair_terms is not None and checked._pair_terms is None
+    assert sampled._fast is not None and checked._fast is None
     return sampled, checked
 
 
