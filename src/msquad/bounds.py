@@ -271,6 +271,8 @@ def _check_sampling(k: int, n_samples: int, safety: float) -> None:
         raise ValueError(f"sample count must be an integer, got {n_samples!r}")
     if n_samples < 8:
         raise ValueError(f"need at least 8 samples, got {n_samples}")
+    if not isinstance(safety, (int, float)) or isinstance(safety, bool):
+        raise ValueError(f"safety factor must be a number >= 1, got {safety!r}")
     if not safety >= 1.0:  # a NaN factor fails here too
         raise ValueError(f"safety factor must be >= 1, got {safety}")
     if safety == math.inf:

@@ -18,14 +18,18 @@ token.  Only ASCII is accepted, nested at most 100 levels deep.
 
 A tree is visited by one walker, ``_value``, written against a small
 arithmetic that has three implementations.  On ``Binary64`` (floats) it is
-:func:`evaluate`, the reference.  On ``Tracer`` (source text) it writes one
-straight-line function with the same binary64 operations in the same order
-and the same domain checks: :func:`compile_expression`, or the same lines
-less the checks inlined at every node of a composite pair loop:
-:func:`compile_pair_terms`.
+:func:`evaluate`, the reference, with the domain checks.  On ``Tracer``
+(source text) it writes the same binary64 operations in the same order as
+one straight-line function, :func:`compile_expression`, or inlined at every
+node of a composite pair loop, :func:`compile_pair_terms`.
 On the Taylor arithmetic of :mod:`msquad.jets`, built over either of the
-two, a value is a jet of Taylor coefficients, its checks read coefficient 0
-and sqrt needs a positive argument, as its derivative is singular at 0.
+two, a value is a jet of Taylor coefficients and its checks read
+coefficient 0.
+
+Generated code is only a fast path, and it has no checks: on floats each
+checked operation raises by itself (``/ 0.0``, ``log`` and ``sqrt`` outside
+their domains, ``0.0 ** -n``), and wherever a line raises, the walker on
+``Binary64`` decides the point.
 """
 
 from __future__ import annotations
@@ -227,6 +231,13 @@ class Binary64:
     exp, log, sin, cos, tan, sqrt = (getattr(math, fn) for fn in FUNCTIONS)
     sqrt_domain = _SQRT_DOMAIN
 
+    @staticmethod
+    def sum2(p: float, q: float) -> float:
+        """The two-term sum: ``p + q + 0.0`` where that is finite, else
+        ``math.fsum((p, q))``, which raises on overflow and on inf - inf."""
+        s = p + q + 0.0
+        return s if math.isfinite(s) else math.fsum((p, q))
+
     def check(self, v: float, test: str, message: str) -> None:
         """Raise ``message``, its ``{!r}`` filled with ``v``, if ``v test 0.0``."""
         if _TESTS[test](v, 0.0):
@@ -279,26 +290,25 @@ class Tracer:
     or an expression that ``let`` binds to a local.  Constants enter as
     names bound to their exact values, so no user text reaches the source;
     equal constants share a name (keyed on ``repr``, which tells -0.0 from
-    0.0).  An expression already bound is not bound again, nor is a check
-    already made emitted again: the lines are straight-line, each name is
-    assigned once and every operation is deterministic, so the first line
-    holds the value, or has raised the error, that a repeat would.
+    0.0).  An expression already bound is not bound again: the lines are
+    straight-line, each name is assigned once and every operation is
+    deterministic, so the first line holds the value that a repeat would.
+    A check renders nothing (see the module docstring).
 
     Only identities true of every binary64 value (signed zeros, infinities,
     NaN) simplify, and what remains keeps its order.  ``neg``, ``+``, ``-``,
     ``*``, ``/``, ``**`` and the six calls of constants, infinite ones too,
     happen now, as the same operations on the same floats.  One that raises
     (``0.0 ** -1``, ``log(0)``, ``exp(1000)``, ``sin(inf)``) stays in the
-    lines, to raise at run time after the checks before it.  NaN is never a
-    constant: names are keyed on ``repr``, which hides a NaN's sign.  ``1 *
-    t``, ``t * 1``, ``t / 1`` and ``t - 0.0`` are ``t`` for every ``t``, -0.0
-    too.  ``t + 0.0`` stays, as ``-0.0 + 0.0`` is ``0.0``, and ``0.0 * t``,
-    as it is NaN for ``t`` = inf.
+    lines, to raise at run time.  NaN is never a constant: names are keyed
+    on ``repr``, which hides a NaN's sign.  ``1 * t``, ``t * 1``, ``t / 1``
+    and ``t - 0.0`` are ``t`` for every ``t``, -0.0 too.  ``t + 0.0``
+    stays, as ``-0.0 + 0.0`` is ``0.0``, and ``0.0 * t``, as it is NaN for
+    ``t`` = inf.
 
-    A jet's sum of two terms is not ``fsum((p, q))`` but ``p + q + 0.0``,
-    bound to a temporary that ``sums`` records, and :meth:`guarded` returns
-    the lines' result only where the recorded sums add up to a finite
-    value; :mod:`msquad.jets` says why that keeps the bits of ``fsum``.
+    ``sum2`` binds ``p + q + 0.0`` to a temporary that ``sums`` records, and
+    :meth:`guarded` returns the lines' result only where the recorded sums
+    add up to a finite value.
 
     When the lines become a function, a temporary used once whose definition
     only adds, subtracts, multiplies or negates is inlined at its use (see
@@ -311,8 +321,7 @@ class Tracer:
         self.named: dict[str, str] = {}  # repr of a constant -> its name
         self.constants: dict[str, float] = {}
         self.sums: dict[str, None] = {}  # the temporaries of two-term sums, in order
-        self.scope: dict = {"EvaluationError": EvaluationError, "fsum": math.fsum,
-                            "isfinite": math.isfinite,
+        self.scope: dict = {"fsum": math.fsum, "isfinite": math.isfinite,
                             **{fn: getattr(math, fn) for fn in FUNCTIONS}}
 
     def const(self, value: float) -> str:
@@ -351,29 +360,22 @@ class Tracer:
     add, sub, mul, div = (_infix(op, getattr(Binary64, name)) for op, name in _INFIX.items())
     pow = _infix("**", Binary64.pow)
     exp, log, sin, cos, tan, sqrt = (_call(fn) for fn in FUNCTIONS)
-    sqrt_domain = _SQRT_DOMAIN
+    sqrt_domain = ()
+    check = staticmethod(lambda v, *test_and_message: None)  # renders nothing
 
     def fsum(self, terms):
-        # math.fsum of nothing is 0.0; the jets write one term t as t + 0.0,
-        # and two as a recorded p + q + 0.0 (see the class docstring)
-        if len(terms) != 2:
-            return f"fsum({_src(tuple(terms))})" if terms else 0.0
-        name = self.let(_Expr(" + ".join(map(_operand, (*terms, 0.0)))))
+        return f"fsum({_src(tuple(terms))})" if terms else 0.0  # fsum(()) is 0.0
+
+    def sum2(self, p, q):
+        name = self.let(_Expr(f"{_operand(p)} + {_operand(q)} + 0.0"))
         self.sums[name] = None
         return name
 
-    def check(self, v, test: str, message: str) -> None:
-        line = (f"if {_operand(v)} {test} 0.0: "
-                f"raise EvaluationError({message!r}.format({_src(v)}), x)")
-        if line not in self.lines:
-            self.lines.append(line)
-
-    def _block(self, indent: int, last: str, checks: bool = True) -> str:
-        """The lines, then ``last``, indented, the checks left out unless
-        ``checks``.  A temporary used once whose definition only adds,
-        subtracts, multiplies or negates is inlined, parenthesised, where it
-        is used: on floats none of these raises, so the same line raises the
-        same error, and the same operations run in the same order."""
+    def _block(self, indent: int, last: str) -> str:
+        """The lines, then ``last``, indented.  A temporary used once whose
+        definition only adds, subtracts, multiplies or negates is inlined,
+        parenthesised, where it is used: on floats none of these raises,
+        and the same operations run in the same order."""
         lines = (*self.lines, last)
         uses = Counter(_TEMP.findall("\n".join(lines)))  # a definition is one
         inline: dict[str, str] = {}  # defined, not yet used
@@ -384,7 +386,7 @@ class Tracer:
             name, _, src = line.partition(" = ")
             if uses[name] == 2 and _ARITHMETIC.fullmatch(src):
                 inline[name] = f"({src})"
-            elif checks or not line.startswith("if "):
+            else:
                 out.append(f"{' ' * indent}{line}\n")
         return "".join(out)
 
@@ -395,14 +397,6 @@ class Tracer:
         header = ", ".join([params, *(f"{n}={n}" for n in self.scope if n in body)])
         exec(compile(f"def f({header}):\n{body}", filename, "exec"), self.scope)
         return self.scope["f"]
-
-    def function(self, result, filename: str) -> Callable:
-        """A function of ``x`` running the lines; OverflowError becomes the
-        EvaluationError that :func:`evaluate` raises."""
-        return self._define("x", f"    try:\n{self._block(8, f'return {_src(result)}')}"
-                            "    except OverflowError:\n"
-                            f"        raise EvaluationError({_OVERFLOW!r}, x) from None\n",
-                            filename)
 
     def guarded(self, result, reference: Callable, filename: str) -> Callable:
         """A function of ``x`` running the lines that returns ``result`` if
@@ -424,13 +418,10 @@ class Tracer:
         width ``h`` from ``a`` to ``b``, the lines inlined at each node.  Node
         ``j`` is ``a`` for ``j = 0``, ``a + j * h`` for ``0 < j < m`` and ``b``
         for ``j = m``, exactly as :meth:`~msquad.integrand.UniformGrid.nodes`
-        places them.  It leaves out the lines' checks and wraps no error: on
-        floats each checked operation raises by itself (``/ 0.0``, ``log``
-        and ``sqrt`` outside their domains, ``0.0 ** -n``), and the caller
-        replays any error through the checked ``f``.  Temporaries inline as
-        they do with the checks in."""
+        places them.  It wraps no error: the caller replays any error
+        through the checked ``f``."""
         def at(indent, name):
-            return self._block(indent, f"{name} = {_src(result)}", checks=False)
+            return self._block(indent, f"{name} = {_src(result)}")
 
         return self._define("a, b, h, m, c, we, wm", f"    x = a\n{at(4, 'fa')}"
                             "    for j in range(2, m + 1, 2):\n"
@@ -452,10 +443,12 @@ def compile_expression(node: Expression) -> Callable[[float], float]:
     """Compile the tree once into a function of ``x`` that returns and
     raises what :func:`evaluate` does, at a fraction of the cost per point:
     one line per operation, but single-use arithmetic inlined into the line
-    that uses it (see :class:`Tracer`).  Compiling never raises: an error
-    belongs to the point that makes it."""
+    that uses it (see :class:`Tracer`), and where a line raises,
+    ``evaluate(node, x)``.  Compiling never raises: an error belongs to the
+    point that makes it."""
     tracer = Tracer()
-    return tracer.function(_value(tracer, node, "x"), "<msquad expression>")
+    return tracer.guarded(_value(tracer, node, "x"), lambda x: evaluate(node, x),
+                          "<msquad expression>")
 
 
 def compile_pair_terms(node: Expression) -> Callable:

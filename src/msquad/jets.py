@@ -16,21 +16,13 @@ it.  Over ``Binary64`` that is :func:`derivatives`, the reference, and over
 returns.  A :class:`TaylorJet` is just a result.
 
 Each sum of products is one ``_sum``: it drops the terms known to be zero
-(zero constants when traced, values equal to 0.0 on floats) and writes one
-term ``t`` as ``t + 0.0``.  On CPython 3.11 neither changes a bit: ``fsum``
-ignores zeros of either sign, and ``fsum((t,))`` is ``t + 0.0`` for every
-``t``.  The rule is the Taylor arithmetic's, so both scalar arithmetics
-agree on any Python.
-
-Compiled, a sum of two terms is ``p + q + 0.0``, not ``fsum((p, q))``.  On
-CPython 3.11 the two agree wherever that sum is finite: for finite ``p``
-and ``q`` with a finite sum ``fsum`` is the correctly rounded ``p + q``,
-and an exact zero reads +0.0.  Elsewhere ``fsum`` raises (on overflow or
-inf - inf) or is not finite.  So a compiled jet tests its two-term sums
-with one guard, that they add up to a finite value, before it returns;
-where the guard fails, or any line raises, it returns
-``derivatives(expr, x, order).coeffs``.  The reference decides those
-points, and no second jet is compiled.
+(zero constants when traced, values equal to 0.0 on floats), writes one
+term ``t`` as ``t + 0.0``, two as the scalar arithmetic's ``sum2`` and more
+as ``fsum``.  The rule is the Taylor arithmetic's, so compiled and
+reference jets run the same operations on any Python.  Compiled code has
+no checks: a compiled jet returns its lines' result where its two-term sums
+add up to a finite value, and at every other point, or where a line
+raises, ``derivatives(expr, x, order).coeffs`` decides.
 """
 
 from __future__ import annotations
@@ -53,6 +45,7 @@ from .integrand import MAX_DERIVATIVE_ORDER as ORDER, Integrand
 _FACTORIALS = tuple(math.factorial(j) for j in range(ORDER + 1))
 _OVERFLOW = "overflow during derivative propagation"
 _ZERO_SERIES = "jet division by a series with zero value"
+_SQRT_SINGULAR = "sqrt not differentiable at non-positive value {!r}"
 
 
 class TaylorJet:
@@ -86,8 +79,8 @@ class TaylorJet:
 # A jet is a tuple of one to seven values of arithmetic ``A``, each
 # coefficient one ``let``; the operands of one operation have one length,
 # the jet's order plus one.  Each sum of products is one ``_sum``: traced,
-# the products stay inside its ``fsum`` call, where binding each to a local
-# would only add stores.  Coefficient j of every recurrence reads the input
+# the products stay inside its sum, where binding each to a local would
+# only add stores.  Coefficient j of every recurrence reads the input
 # coefficients 0..j only, so nothing above the order is computed, and an
 # order fails only where its own coefficients or lower ones raise (an
 # ``fsum`` raises on inf - inf, or on overflow).  Up to the order every
@@ -103,8 +96,6 @@ class _Jets:
     checks and its test for a known exponent read coefficient 0, and
     ``let`` is the identity, as every coefficient is bound already."""
 
-    # the derivative is singular at 0 even though the value exists
-    sqrt_domain = ("<=", "sqrt not differentiable at non-positive value {!r}")
     let = staticmethod(lambda v: v)
 
     def __init__(self, A, order: int):
@@ -112,6 +103,9 @@ class _Jets:
             raise ValueError(f"jet order must be in 0..{ORDER}, got {order!r}")
         self.A = A
         self.zeros = (0.0,) * order
+        # a derivative of sqrt divides by 2*sqrt(a0), so it needs a0 > 0; an
+        # order-0 jet asks for none, and its sqrt(0) is the value
+        self.sqrt_domain = ("<=" if order else "<", _SQRT_SINGULAR)
 
     def variable(self, x):
         """The jet of the variable at ``x``."""
@@ -136,9 +130,11 @@ class _Jets:
         return tuple(self.A.let(self.A.sub(p, q)) for p, q in zip(a, b))
 
     def _sum(self, terms):
-        """``math.fsum`` of ``terms``, as the module docstring writes it."""
+        """The sum of ``terms``, as the module docstring writes it."""
         terms = [t for t in terms if self.A.known(t) != 0.0]
-        return self.A.add(terms[0], 0.0) if len(terms) == 1 else self.A.fsum(terms)
+        if len(terms) == 1:
+            return self.A.add(terms[0], 0.0)
+        return self.A.sum2(*terms) if len(terms) == 2 else self.A.fsum(terms)
 
     def mul(self, a, b):
         A = self.A
@@ -214,7 +210,7 @@ class _Jets:
         return self.div(s, c)
 
     def sqrt(self, a):
-        """The square root, once the walker has checked ``a[0] > 0``."""
+        """The square root, once the walker has checked ``a[0]`` by ``sqrt_domain``."""
         A = self.A
         u = [A.let(A.sqrt(a[0]))]
         twice = A.let(A.mul(2.0, u[0]))
@@ -237,10 +233,9 @@ def derivatives(expr: Expression, x0: float, order: int = ORDER) -> TaylorJet:
 def compile_jet(expr: Expression, order: int = ORDER) -> Callable[[float], tuple[float, ...]]:
     """Compile the tree once into a function of ``x`` that returns
     ``derivatives(expr, x, order).coeffs`` and raises what
-    :func:`derivatives` does.  Its lines write each sum of two terms as
-    ``p + q + 0.0``, and its guard keeps the replay rule of
-    :class:`Integrand`: the lines' result stands where those sums add up
-    to a finite value, and elsewhere, or where any line raises, the
+    :func:`derivatives` does.  Its guard keeps the replay rule of
+    :class:`Integrand`: the lines' result stands where the two-term sums
+    add up to a finite value, and elsewhere, or where any line raises, the
     checked :func:`derivatives` decides the point.  Compiling never raises."""
     tracer = Tracer()
     A = _Jets(tracer, order)

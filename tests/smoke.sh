@@ -59,33 +59,38 @@ for k in 2 3 4 5 6; do
     msquad bounds --f "cos(2.5*x)*exp(-1.2*x)+sqrt(1+0.7*x^2)" -a 0 -b 1 -k "$k"
 done
 
-step "Compiled jets return and raise what the reference jets do"
-# the tracer drops zero fsum terms, writes fsum((t,)) as t + 0.0 and
-# fsum((p, q)) as p + q + 0.0 under a finiteness guard, which rests on this
-# interpreter's math.fsum (-0.0 + -0.0 at x = -0.0; at 354.7 the two products
-# of exp(x)*exp(x) are finite and their sum overflows); an outcome is the
-# coefficients' hex (any NaN is "nan") or the error's class and message
+step "Compiled code returns and raises what the reference walks do"
+# generated code has no checks: where a line raises, or a jet's two-term
+# sums (sum2, p + q + 0.0) do not add up to a finite value, the reference
+# decides the point, so each interpreter checks that replay and sum2 here
+# (x*x sums -0.0 + -0.0, which the + 0.0 makes 0.0 as the reference's
+# dropped zero terms do; at 354.7 the two products of exp(x)*exp(x) are
+# finite and their sum overflows; log, sqrt and 1/x raise at -1.5, -0.0
+# and 0.0); an outcome is the values' hex (any NaN is "nan") or the
+# error's class and message
 $PYTHON -c "
 import math
-from msquad.expressions import parse
+from msquad.expressions import compile_expression, evaluate, parse
 from msquad.jets import compile_jet, derivatives
 def outcome(fn, x):
     try:
-        return [c.hex() for c in fn(x)]
+        v = fn(x)
+        return [c.hex() for c in (v if isinstance(v, tuple) else (v,))]
     except Exception as exc:
         return [type(exc).__name__, str(exc)]
 bad = []
 for text in ('exp(-1.25*x^2)*sin(3.5*x)+1/(1+0.75*x^2)',
              'cos(3.5*x)*exp(-1.25*x)+sqrt(1+0.75*x^2)',
              'log(1+0.75*x^2)*cos(3.5*x)+x/(1+1.25*x^2)',
-             'exp(x)*exp(x)'):
+             'log(1+x)*exp(-0.8*x)', 'exp(x)*exp(x)', 'x*x', 'sqrt(x)', '1/x'):
     tree = parse(text)
-    for k in range(1, 7):
-        jet = compile_jet(tree, k)
-        for x in (-0.0, 0.0, 0.37, -1.5, 354.7, 1e160, math.inf, math.nan):
-            want = outcome(lambda x: derivatives(tree, x, k).coeffs, x)
-            if outcome(jet, x) != want:
-                bad.append((text, k, x, outcome(jet, x), want))
+    pairs = [('value', compile_expression(tree), lambda x, t=tree: evaluate(t, x))]
+    pairs += [(k, compile_jet(tree, k), lambda x, t=tree, k=k: derivatives(t, x, k).coeffs)
+              for k in range(7)]
+    for x in (-0.0, 0.0, 0.37, -1.5, 354.7, 1e160, math.inf, math.nan):
+        for what, fn, reference in pairs:
+            if outcome(fn, x) != outcome(reference, x):
+                bad.append((text, what, x, outcome(fn, x), outcome(reference, x)))
 assert not bad, bad
 "
 

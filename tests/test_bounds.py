@@ -438,19 +438,29 @@ def test_estimator_validation():
         estimate_derivative_range(EXP, 0, UNIT)
 
 
-@pytest.mark.parametrize("k, n_samples, message", [
-    (True, 129, "derivative order must be an integer in 1..6, got True"),
-    (2.0, 129, "derivative order must be an integer in 1..6, got 2.0"),
-    (2, 129.0, "sample count must be an integer, got 129.0"),
-    (2, True, "sample count must be an integer, got True"),
-])
-def test_estimator_rejects_non_integer_arguments_on_both_integrand_kinds(k, n_samples, message):
+_BAD_ARGUMENTS = [
+    (True, 129, 1.05, "derivative order must be an integer in 1..6, got True"),
+    (2.0, 129, 1.05, "derivative order must be an integer in 1..6, got 2.0"),
+    (2, 129.0, 1.05, "sample count must be an integer, got 129.0"),
+    (2, True, 1.05, "sample count must be an integer, got True"),
+    (2, 129, True, "safety factor must be a number >= 1, got True"),
+    (2, 129, "2", "safety factor must be a number >= 1, got '2'"),
+]
+
+
+# a case at the default safety factor is named by k, n_samples and its message
+@pytest.mark.parametrize("k, n_samples, safety, message", _BAD_ARGUMENTS, ids=[
+    f"{k}-{n}-{message}" if safety == 1.05 else f"{k}-{n}-{safety!r}-{message}"
+    for k, n, safety, message in _BAD_ARGUMENTS])
+def test_estimator_rejects_non_integer_arguments_on_both_integrand_kinds(
+        k, n_samples, safety, message):
     # the compiled jet is indexed by k, which would take True for 1; a
     # callable integrand's f.derivative rejected it, and float counts raised
-    # a TypeError from range()
+    # a TypeError from range(); a bool safety factor counted as 1.0 and a
+    # string one raised a TypeError from the comparison
     for f in (expression_integrand("exp(x)"), EXP):
         with pytest.raises(ValueError) as exc:
-            estimate_derivative_range(f, k, UNIT, n_samples=n_samples)
+            estimate_derivative_range(f, k, UNIT, n_samples=n_samples, safety=safety)
         assert str(exc.value) == message
 
 

@@ -31,7 +31,7 @@ from helpers import (
 )
 from msquad.errors import DerivativeUnavailableError, EvaluationError
 from msquad.expressions import (
-    Call, Tracer, Var, compile_expression, compile_pair_terms, evaluate, parse,
+    Binary64, Call, Tracer, Var, compile_expression, compile_pair_terms, evaluate, parse,
 )
 from msquad.jets import ORDER, TaylorJet, compile_jet, derivatives, expression_integrand
 
@@ -155,6 +155,18 @@ def test_sqrt_not_differentiable_at_zero():
         derivatives(parse("sqrt(x)"), 0.0)
 
 
+def test_an_order_0_sqrt_jet_at_zero_is_the_value():
+    # an order-0 jet asks for no derivative, so nothing divides by
+    # 2*sqrt(a0); every higher order does
+    tree = parse("sqrt(x)")
+    for x in (0.0, -0.0):
+        assert derivatives(tree, x, 0).coeffs[0].hex() == evaluate(tree, x).hex()
+        for k in range(1, ORDER + 1):
+            with pytest.raises(EvaluationError,
+                               match="sqrt not differentiable at non-positive value"):
+                derivatives(tree, x, k)
+
+
 def test_domain_errors_in_jets():
     with pytest.raises(EvaluationError):
         derivatives(parse("log(x)"), -0.5)
@@ -248,11 +260,11 @@ def _reference(tree, order=ORDER):
 
 def test_the_guard_decides_the_path(monkeypatch):
     # JET_GRID holds the inputs where a simplification could show: signed
-    # zeros, infinities, NaN and overflowing values.  A jet writes each sum
-    # of two terms as p + q + 0.0, which is fsum((p, q)) only where it is
-    # finite, and calls derivatives where one is not or a line raises.  At
-    # 354.7 both products of exp(x)*exp(x) are finite but their sum is not,
-    # so fsum raises OverflowError where p + q is inf.
+    # zeros, infinities, NaN and overflowing values.  A compiled jet calls
+    # derivatives where a two-term sum p + q + 0.0 is not finite or a line
+    # raises.  At 354.7 both products of exp(x)*exp(x) are finite but their
+    # sum is not, so the reference's sum2 falls back to fsum, which raises
+    # OverflowError.
     calls = []
     monkeypatch.setattr(msquad.jets, "derivatives",
                         lambda *args: calls.append(args) or derivatives(*args))
@@ -392,6 +404,53 @@ def test_powers_decided_from_the_tree_take_exp_log(text):
                                                          mpmath.mpf(x), ORDER)]
             tol = 1e-12 * max(1.0, *map(abs, want))
             assert all(abs(g - w) <= tol for g, w in zip(jet(x), want)), (x, want)
+
+
+def test_generated_code_has_no_checks(monkeypatch):
+    # On floats each checked operation raises by itself, and wherever a line
+    # raises the walker decides the point, so no generated body raises,
+    # names EvaluationError or tests a value; the one "if " line allowed is
+    # a jet's finiteness guard of its two-term sums.
+    bodies = []
+    define = Tracer._define
+    monkeypatch.setattr(Tracer, "_define", lambda self, params, body, filename: (
+        bodies.append(body) or define(self, params, body, filename)))
+    texts = dict.fromkeys(VALUE_CORPUS + JET_CORPUS + BENCH_FAMILIES)
+    for text in texts:
+        tree = parse(text)
+        compile_expression(tree)
+        compile_pair_terms(tree)
+        for k in range(ORDER + 1):
+            compile_jet(tree, k)
+    assert len(bodies) == (ORDER + 3) * len(texts)
+    for body in bodies:
+        assert "raise" not in body and "EvaluationError" not in body, body
+        tests = [line.strip() for line in body.splitlines() if line.strip().startswith("if ")]
+        assert len(tests) <= 1 and all(t.startswith("if isfinite(") for t in tests), body
+
+
+def test_derivatives_adds_two_terms_without_fsum(monkeypatch):
+    # A two-term sum is the scalar arithmetic's sum2: p + q + 0.0 where
+    # that is finite, and math.fsum only where it is not.
+    calls = []
+    fsum = math.fsum
+
+    def spy(terms):
+        terms = tuple(terms)
+        if len(terms) == 2 and all(map(math.isfinite, terms)) and math.isfinite(sum(terms)):
+            calls.append(terms)
+        return fsum(terms)
+
+    monkeypatch.setattr(math, "fsum", spy)
+    monkeypatch.setattr(Binary64, "fsum", staticmethod(spy))
+    for text in JET_CORPUS + BENCH_FAMILIES:
+        tree = parse(text)
+        for x in filter(math.isfinite, JET_GRID):
+            try:
+                derivatives(tree, x)
+            except Exception:
+                pass
+    assert calls == []
 
 
 def test_compiled_code_never_calls_a_walker():
